@@ -17,17 +17,19 @@ non-increasing and the loop resumes from there with fresh annealer seeds.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .annealer import AnnealSchedule, anneal
-from .basis import BasisTag, StateVector, change_basis, mass_blocks
+from .annealer import AnnealResult, AnnealSchedule, anneal, anneal_many
+from .basis import BasisTag, OccupationBlock, StateVector, change_basis, mass_blocks
 from .clock import (
     AqaeState,
     ClockMatrix,
     DigitizationParams,
     Direction,
+    QuboProblem,
     apply_bit_updates,
     build_clock,
     build_qubo,
@@ -146,6 +148,30 @@ def run_aqae(
     With ``oracle`` enabled every iteration also records the overlap of the
     current final-register estimate with the exact evolution.
     """
+    run = _aqae_run(h, initial, dt, cfg, steps, oracle)
+    try:
+        job = next(run)
+        while True:
+            job = run.send(anneal(*job))
+    except StopIteration as done:
+        return done.value
+
+
+def _aqae_run(
+    h: HamiltonianMatrix | np.ndarray,
+    initial: np.ndarray,
+    dt: float,
+    cfg: AqaeConfig,
+    steps: int,
+    oracle: bool,
+) -> Generator[tuple[QuboProblem, AnnealSchedule], AnnealResult, AqaeResult]:
+    """The loop of :func:`run_aqae`, with the annealer left to the caller.
+
+    Yields the (qubo, schedule) of every anneal, takes its
+    :class:`AnnealResult` back through ``send``, and returns the
+    :class:`AqaeResult`, so that a driver can anneal independent runs
+    together.
+    """
     psi0 = np.asarray(initial, dtype=complex)
     clock = build_clock(h, psi0, dt, steps, cfg.penalty_weight)
     cemb = real_embed(clock)
@@ -181,8 +207,7 @@ def run_aqae(
     while z < cfg.max_zoom:
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
-            qubo_full = build_qubo(cemb, params, state.estimate)
-            qubo, kept = qubo_full.fix_variables(frozen_vars)
+            qubo, kept = build_qubo(cemb, params, state.estimate).fix_variables(frozen_vars)
             schedule = AnnealSchedule(
                 sweeps=cfg.sweeps,
                 reads=cfg.reads,
@@ -190,8 +215,8 @@ def run_aqae(
                 beta_end=cfg.beta_end,
                 seed=_iteration_seed(cfg.seed, iteration),
             )
-            result = anneal(qubo, schedule)
-            bits = np.zeros(qubo_full.size)
+            result = yield qubo, schedule
+            bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
             state.estimate = apply_bit_updates(state.estimate, bits, params)
             state.energy_history.append(result.best_energy)
@@ -294,6 +319,42 @@ def _block_seed(base_seed: int, time_index: int, block_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
+def _run_lockstep(
+    runs: dict[int, Generator], blocks: list[OccupationBlock], t: float
+) -> dict[int, AqaeResult]:
+    """Drive the AQAE runs of one sample time, keyed by block index, to the
+    end; every round anneals the pending QUBO of each unfinished run in one
+    :func:`anneal_many` batch."""
+    results: dict[int, AqaeResult] = {}
+    jobs: dict[int, tuple[QuboProblem, AnnealSchedule]] = {}
+
+    def where(b_idx: int) -> str:
+        block = blocks[b_idx]
+        return f"block {block.occupation} (size {block.size})"
+
+    def advance(b_idx: int, result: AnnealResult | None) -> None:
+        try:
+            jobs[b_idx] = runs[b_idx].send(result)
+        except StopIteration as done:
+            results[b_idx] = done.value
+        except Exception as exc:
+            raise RuntimeError(f"AQAE failed on {where(b_idx)} at time {t:g}: {exc}") from exc
+
+    for b_idx in runs:
+        advance(b_idx, None)
+    while jobs:
+        batch = list(jobs.items())
+        jobs.clear()
+        try:
+            annealed = anneal_many([q for _, (q, _) in batch], [s for _, (_, s) in batch])
+        except Exception as exc:
+            names = ", ".join(where(b_idx) for b_idx, _ in batch)
+            raise RuntimeError(f"AQAE failed annealing {names} at time {t:g}: {exc}") from exc
+        for (b_idx, _), result in zip(batch, annealed):
+            advance(b_idx, result)
+    return results
+
+
 def run_aqae_blocked(
     spec: SystemSpec,
     initial: StateVector,
@@ -307,8 +368,10 @@ def run_aqae_blocked(
     For every sample time the flavor initial state is rotated to the mass
     basis and split into occupation blocks; blocks with weight above
     ``ZERO_BLOCK_NORM`` are annealed independently, reassembled, and rotated
-    back before the witnesses are computed.  ``dt`` selects the clock step
-    size (``None`` evolves each time in a single step).
+    back before the witnesses are computed.  The blocks of one sample time
+    are annealed in lockstep; each block's result is the one :func:`run_aqae`
+    gives on that block alone.  ``dt`` selects the clock step size (``None``
+    evolves each time in a single step).
     """
     if spec.statistics is not Statistics.DIRAC or any(
         s is not Species.NEUTRINO for s in spec.species
@@ -334,45 +397,38 @@ def run_aqae_blocked(
         else:
             steps = 1
         step_dt = t / steps if t > 0 else 0.0
-        assembled = np.zeros(spec.dim, dtype=complex)
         per_block: list[BlockRunReport] = []
+        runs: dict[int, Generator] = {}
         for b_idx, block in enumerate(blocks):
-            idx = np.asarray(block.indices)
-            sub = psi_mass.amplitudes[idx]
+            sub = psi_mass.amplitudes[np.asarray(block.indices)]
             weight = float(np.linalg.norm(sub))
+            per_block.append(BlockRunReport(block.occupation, block.size, weight, True))
             if weight <= ZERO_BLOCK_NORM:
-                per_block.append(BlockRunReport(block.occupation, block.size, weight, True))
                 continue
             if cfg.block_size_cap is not None and block.size > cfg.block_size_cap:
                 raise ValueError(
                     f"block {block.occupation} has {block.size} states, "
                     f"above the configured cap {cfg.block_size_cap}"
                 )
-            sub_h = restrict_to_block(h_mass, block)
             block_cfg = replace(cfg, seed=_block_seed(cfg.seed, t_idx, b_idx))
-            try:
-                res = run_aqae(sub_h, sub / weight, step_dt, block_cfg, steps=steps, oracle=oracle)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"AQAE failed on block {block.occupation} (size {block.size}) "
-                    f"at time {t:g}: {exc}"
-                ) from exc
-            assembled[idx] = weight * res.amplitudes
+            runs[b_idx] = _aqae_run(
+                restrict_to_block(h_mass, block), sub / weight, step_dt, block_cfg, steps, oracle
+            )
+        assembled = np.zeros(spec.dim, dtype=complex)
+        for b_idx, res in _run_lockstep(runs, blocks, t).items():
+            rep = per_block[b_idx]
+            assembled[np.asarray(blocks[b_idx].indices)] = rep.weight * res.amplitudes
             overlap = math.nan
             if res.diagnostics and "overlap" in res.diagnostics[-1]:
                 overlap = res.diagnostics[-1]["overlap"]
-            per_block.append(
-                BlockRunReport(
-                    block.occupation,
-                    block.size,
-                    weight,
-                    False,
-                    converged=res.converged,
-                    zoom_levels=res.state.zoom,
-                    rewinds=res.rewinds,
-                    final_energy=res.state.energy_history[-1],
-                    overlap=overlap,
-                )
+            per_block[b_idx] = replace(
+                rep,
+                skipped=False,
+                converged=res.converged,
+                zoom_levels=res.state.zoom,
+                rewinds=res.rewinds,
+                final_energy=res.state.energy_history[-1],
+                overlap=overlap,
             )
         assembled /= np.linalg.norm(assembled)
         mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)

@@ -1,8 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import nuanneal.annealer as annealer_mod
-from nuanneal.annealer import AnnealSchedule, anneal, default_beta_range, exhaustive_minimum
+from nuanneal.annealer import (
+    AnnealSchedule,
+    anneal,
+    anneal_many,
+    default_beta_range,
+    exhaustive_minimum,
+)
 from nuanneal.clock import QuboProblem
 
 
@@ -29,6 +37,13 @@ class TestSchedule:
         lo, hi = default_beta_range(q)
         assert 0 < lo <= hi
 
+    def test_default_beta_range_values(self):
+        # Hot end: ln 2 over the largest |lin| + sum |quad| row; cold end:
+        # ln 1e4 over the smallest nonzero coefficient magnitude.
+        q = QuboProblem(3, {(0, 0): -2.0, (0, 1): 0.5, (1, 2): -4.0, (2, 2): 0.0})
+        assert default_beta_range(q) == (np.log(2.0) / 4.5, np.log(1e4) / 0.5)
+        assert default_beta_range(QuboProblem(2, {(0, 1): 0.0})) == (1.0, 1.0)
+
 
 class TestAnneal:
     def test_single_negative_variable(self):
@@ -50,9 +65,23 @@ class TestAnneal:
         q = random_qubo(rng, 8)
         s = AnnealSchedule(sweeps=100, reads=17, seed=9)
         full = anneal(q, s)
-        monkeypatch.setattr(annealer_mod, "_CHUNK_BYTES", 8 * 100 * 8 * 3)  # ~3 reads per chunk
+        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 8 * 8 * 17 * 3)  # 3 sweeps per chunk
         chunked = anneal(q, s)
         assert np.array_equal(full.best_bits, chunked.best_bits)
+        assert np.array_equal(full.all_read_energies, chunked.all_read_energies)
+
+    def test_buffer_size_does_not_change_results_at_criterion_10_size(self, monkeypatch):
+        # Criterion 10's second trial: n=16, 2000 sweeps, 200 reads.  Read
+        # chunking once moved some per-read energies by an ulp here.
+        rng = np.random.default_rng(10)
+        for _ in range(2):
+            q = random_qubo(rng, 16)
+        s = AnnealSchedule(sweeps=2000, reads=200, seed=1)
+        full = anneal(q, s)
+        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)  # one sweep per chunk
+        chunked = anneal(q, s)
+        assert np.array_equal(full.best_bits, chunked.best_bits)
+        assert full.best_energy == chunked.best_energy
         assert np.array_equal(full.all_read_energies, chunked.all_read_energies)
 
     def test_best_energy_reproducible_from_bits(self, rng):
@@ -109,6 +138,64 @@ class TestAnneal:
     def test_rejects_empty_problem(self):
         with pytest.raises(ValueError):
             anneal(QuboProblem(0, {}), AnnealSchedule(sweeps=1, reads=1))
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.best_bits, b.best_bits)
+    assert a.best_bits.dtype == b.best_bits.dtype
+    assert a.best_energy == b.best_energy
+    assert np.array_equal(a.all_read_energies, b.all_read_energies)
+
+
+class TestAnnealMany:
+    SIZES = (1, 2, 7, 16, 24)
+
+    def _batch(self, rng, sweeps, reads=9):
+        problems = [random_qubo(rng, n) for n in self.SIZES]
+        schedules = [
+            AnnealSchedule(sweeps, reads, seed=11 * k)
+            if k % 2
+            else AnnealSchedule(sweeps, reads, beta_start=0.05 * (k + 1), beta_end=4.0, seed=11 * k)
+            for k in range(len(problems))
+        ]
+        return problems, schedules
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 2, 40])
+    def test_matches_anneal_per_problem(self, rng, sweeps):
+        problems, schedules = self._batch(rng, sweeps)
+        batched = anneal_many(problems, schedules)
+        assert len(batched) == len(problems)
+        for q, s, res in zip(problems, schedules, batched):
+            assert_same_result(res, anneal(q, s))
+
+    def test_batch_order_does_not_matter(self, rng):
+        problems, schedules = self._batch(rng, 30)
+        forward = anneal_many(problems, schedules)
+        backward = anneal_many(problems[::-1], schedules[::-1])[::-1]
+        for a, b in zip(forward, backward):
+            assert_same_result(a, b)
+
+    def test_padding_raises_no_warnings(self, rng, monkeypatch):
+        # A small buffer refills many times, so stale padded slots would be
+        # revisited if the kernel touched them.
+        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)
+        problems, schedules = self._batch(rng, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            anneal_many(problems, schedules)
+
+    def test_rejects_bad_batches(self, rng):
+        q = random_qubo(rng, 4)
+        with pytest.raises(ValueError, match="at least one problem"):
+            anneal_many([], [])
+        with pytest.raises(ValueError, match="share sweeps and reads"):
+            anneal_many([q, q], [AnnealSchedule(5, 3), AnnealSchedule(6, 3)])
+        with pytest.raises(ValueError, match="share sweeps and reads"):
+            anneal_many([q, q], [AnnealSchedule(5, 3), AnnealSchedule(5, 4)])
+        with pytest.raises(ValueError, match="at least one variable"):
+            anneal_many([q, QuboProblem(0, {})], [AnnealSchedule(5, 3)] * 2)
+        with pytest.raises(ValueError, match="one schedule per problem"):
+            anneal_many([q, q], [AnnealSchedule(5, 3)])
 
 
 class TestExhaustive:

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import nuanneal.aqae as aqae_mod
 from nuanneal.annealer import AnnealResult
 from nuanneal.aqae import (
     AqaeConfig,
+    _block_seed,
     _Checkpoint,
     _iteration_seed,
     _latest_non_increasing,
@@ -15,10 +18,10 @@ from nuanneal.aqae import (
     run_aqae,
     run_aqae_blocked,
 )
-from nuanneal.basis import BasisTag, StateVector, change_basis
+from nuanneal.basis import BasisTag, StateVector, change_basis, mass_blocks
 from nuanneal.clock import unembed_state
 from nuanneal.evolution import Evolver, propagator
-from nuanneal.hamiltonians import build_dirac_hamiltonian
+from nuanneal.hamiltonians import build_dirac_hamiltonian, restrict_to_block
 from nuanneal.witnesses import compute_witnesses
 
 CFG = AqaeConfig(k_bits=1, max_zoom=12, reads=32, sweeps=64, seed=5)
@@ -234,11 +237,59 @@ class TestRunAqaeBlocked:
         with pytest.raises(ValueError, match="cap"):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], acfg)
 
+    def test_matches_run_aqae_on_each_block(self):
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=8, reads=16, sweeps=24, seed=3)
+        t = 2e11
+        blocked = run_aqae_blocked(cfg.spec, cfg.initial, None, [t], acfg, oracle=True)
+        h_mass = build_dirac_hamiltonian(cfg.spec, BasisTag.MASS)
+        psi_mass = change_basis(cfg.initial, BasisTag.MASS, cfg.spec.pmns).amplitudes
+        ran = 0
+        for b_idx, (block, rep) in enumerate(zip(mass_blocks(3, 2), blocked.block_reports[0])):
+            if rep.skipped:
+                continue
+            sub = psi_mass[np.asarray(block.indices)]
+            alone = run_aqae(
+                restrict_to_block(h_mass, block),
+                sub / np.linalg.norm(sub),
+                t,
+                replace(acfg, seed=_block_seed(acfg.seed, 0, b_idx)),
+                oracle=True,
+            )
+            assert rep.final_energy == alone.state.energy_history[-1]
+            assert rep.overlap == alone.diagnostics[-1]["overlap"]
+            assert (rep.zoom_levels, rep.rewinds, rep.converged) == (
+                alone.state.zoom,
+                alone.rewinds,
+                alone.converged,
+            )
+            ran += 1
+        assert ran >= 2
+
     def test_errors_carry_block_identity(self, monkeypatch):
-        def exploding_anneal(qubo, schedule):
+        def exploding_anneal_many(problems, schedules):
             raise RuntimeError("annealer exploded")
 
-        monkeypatch.setattr(aqae_mod, "anneal", exploding_anneal)
+        monkeypatch.setattr(aqae_mod, "anneal_many", exploding_anneal_many)
         cfg = reference_config(2, 3, initial=("e", "mu"))
         with pytest.raises(RuntimeError, match="block"):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
+
+    def test_one_failing_block_is_named(self, monkeypatch):
+        # Block (1, 0, 1) fails mid-run, after its other blocks have been
+        # annealed alongside it for a few rounds.
+        target = next(i for i, b in enumerate(mass_blocks(3, 2)) if b.occupation == (1, 0, 1))
+        doomed = _block_seed(CFG.seed, 0, target)
+        real_seed = aqae_mod._iteration_seed
+
+        def failing_seed(base_seed, iteration):
+            if base_seed == doomed and iteration == 3:
+                raise FloatingPointError("clock energy diverged")
+            return real_seed(base_seed, iteration)
+
+        monkeypatch.setattr(aqae_mod, "_iteration_seed", failing_seed)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        expected = "AQAE failed on block (1, 0, 1) (size 2) at time 1e+11: clock energy diverged"
+        with pytest.raises(RuntimeError, match=re.escape(expected)) as info:
+            run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
+        assert isinstance(info.value.__cause__, FloatingPointError)
