@@ -21,7 +21,6 @@ from .basis import (
     product_state,
 )
 from .clock import (
-    AqaeState,
     ClockMatrix,
     DigitizationParams,
     Direction,

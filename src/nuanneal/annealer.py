@@ -84,19 +84,15 @@ class AnnealResult:
     all_read_energies: np.ndarray
 
 
-def _beta_range(lin: np.ndarray, quad: np.ndarray) -> tuple[float, float]:
-    reach = np.abs(lin) + np.abs(quad).sum(axis=1)
-    max_field = float(reach.max()) if lin.size else 0.0
-    couplings = np.concatenate([lin, quad[np.triu_indices(lin.size, 1)]])
+def default_beta_range(q: QuboProblem) -> tuple[float, float]:
+    """Heuristic (beta_start, beta_end) from the problem's coupling scales."""
+    reach = np.abs(q.lin) + np.abs(q.quad).sum(axis=1)
+    max_field = float(reach.max()) if q.size else 0.0
+    couplings = np.concatenate([q.lin, q.quad[np.triu_indices(q.size, 1)]])
     magnitudes = np.abs(couplings[couplings != 0.0])
     if max_field <= 0.0 or not magnitudes.size:
         return 1.0, 1.0
     return math.log(2.0) / max_field, math.log(1e4) / float(magnitudes.min())
-
-
-def default_beta_range(q: QuboProblem) -> tuple[float, float]:
-    """Heuristic (beta_start, beta_end) from the problem's coupling scales."""
-    return _beta_range(*q.dense())
 
 
 def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
@@ -131,7 +127,6 @@ def anneal_many(
     batch, n = len(rank), sizes[0]
     starts = np.concatenate([[0], np.cumsum([sum(m > t for m in sizes) for t in range(n)])])
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    dense = [problems[i].dense() for i in rank]
 
     # Zero-padded state, row p * n + j for variable j of problem p; spins
     # are 1 - 2 * bit.
@@ -142,12 +137,12 @@ def anneal_many(
     visits = np.empty((sweeps, int(starts[-1])), dtype=np.intp)
     neg_betas = np.empty((batch, sweeps))
     streams: list[list[np.random.Generator]] = []
-    for p, (i, (lin, quad)) in enumerate(zip(rank, dense)):
-        m, s = sizes[p], schedules[i]
-        lin_pad[p, :m] = lin
-        quad_pad[p, :m, :m] = quad
+    for p, i in enumerate(rank):
+        q, s, m = problems[i], schedules[i], sizes[p]
+        lin_pad[p, :m] = q.lin
+        quad_pad[p, :m, :m] = q.quad
         beta_start, beta_end = (
-            (s.beta_start, s.beta_end) if s.beta_start is not None else _beta_range(lin, quad)
+            (s.beta_start, s.beta_end) if s.beta_start is not None else default_beta_range(q)
         )
         if sweeps > 1:
             neg_betas[p] = -np.geomspace(beta_start, beta_end, sweeps)
@@ -160,7 +155,7 @@ def anneal_many(
         rngs = [np.random.default_rng(s.seed + r) for r in range(reads)]
         bits = np.stack([rng.integers(0, 2, m).astype(float) for rng in rngs], axis=-1)
         spins[p, :m] = 1.0 - 2.0 * bits
-        fields[p, :m] = quad @ bits
+        fields[p, :m] = q.quad @ bits
         streams.append(rngs)
 
     chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * visits.shape[1] * reads)))
@@ -199,13 +194,13 @@ def anneal_many(
                     fields[: hi - lo] += quad_at[lo:hi] * flip[:, None, :]
 
     results: dict[int, AnnealResult] = {}
-    for p, (i, (lin, quad)) in enumerate(zip(rank, dense)):
+    for p, i in enumerate(rank):
         q = problems[i]
         bits = 0.5 * (1.0 - spins[p, : sizes[p]])
-        energies = lin @ bits + 0.5 * np.einsum("ir,ir->r", quad @ bits, bits) + q.offset
+        energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
         best_bits = bits[:, int(np.argmin(energies))].astype(np.int8)
-        # Re-derive the reported energy from the coefficient map so that
-        # callers can reproduce it exactly from best_bits.
+        # Re-derive the reported energy term by term so that callers can
+        # reproduce it exactly from best_bits.
         results[i] = AnnealResult(best_bits, q.total_energy(best_bits), energies)
     return [results[i] for i in range(batch)]
 
@@ -214,8 +209,7 @@ def exhaustive_minimum(q: QuboProblem, limit: int = 24) -> tuple[np.ndarray, flo
     """Brute-force global minimum; refuses problems beyond 2**limit states."""
     if q.size > limit:
         raise ValueError(f"exhaustive search over {q.size} variables refused (limit {limit})")
-    lin, quad = q.dense()
     states = ((np.arange(2**q.size)[:, None] >> np.arange(q.size)) & 1).astype(float)
-    energies = states @ lin + 0.5 * np.einsum("ri,ri->r", states @ quad, states) + q.offset
+    energies = states @ q.lin + 0.5 * np.einsum("ri,ri->r", states @ q.quad, states) + q.offset
     best = int(np.argmin(energies))
     return states[best].astype(np.int8), float(energies[best])

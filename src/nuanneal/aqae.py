@@ -25,7 +25,6 @@ import numpy as np
 from .annealer import AnnealResult, AnnealSchedule, anneal, anneal_many
 from .basis import BasisTag, OccupationBlock, StateVector, change_basis, mass_blocks
 from .clock import (
-    AqaeState,
     ClockMatrix,
     DigitizationParams,
     Direction,
@@ -33,6 +32,7 @@ from .clock import (
     apply_bit_updates,
     build_clock,
     build_qubo,
+    embed_state,
     real_embed,
     unembed_state,
 )
@@ -118,14 +118,17 @@ def _latest_non_increasing(checkpoints: list[_Checkpoint]) -> int:
 
 @dataclass
 class AqaeResult:
-    """Final-register estimate plus the full iteration record."""
+    """Final-register estimate plus the full iteration record: the embedded
+    trajectory ``estimate``, the ``zoom`` level reached and the clock energy
+    of every anneal since the last rewind."""
 
     amplitudes: np.ndarray
-    state: AqaeState
+    estimate: np.ndarray
+    zoom: int
+    energy_history: list[float]
     converged: bool
     diagnostics: list[dict]
     rewinds: int
-    clock: ClockMatrix
 
 
 def _iteration_seed(base_seed: int, iteration: int) -> int:
@@ -157,6 +160,29 @@ def run_aqae(
         return done.value
 
 
+def initial_estimate(clock: ClockMatrix) -> np.ndarray:
+    """Real-embedded trajectory of the initial state followed by zero registers."""
+    return embed_state(np.concatenate([clock.initial, np.zeros(clock.dim - clock.register_dim)]))
+
+
+def clock_qubo(
+    clock: ClockMatrix,
+    cemb: np.ndarray,
+    params: DigitizationParams,
+    estimate: np.ndarray,
+    freeze: bool = True,
+) -> tuple[QuboProblem, list[int]]:
+    """QUBO of one pass around ``estimate`` over ``cemb = real_embed(clock)``,
+    and the original indices of its bits.  ``freeze`` fixes the bits of the
+    initial register's real and imaginary slots to 0, keeping its values."""
+    problem = build_qubo(cemb, params, estimate)
+    if not freeze:
+        return problem, list(range(problem.size))
+    d, half, k = clock.register_dim, clock.dim, params.k_bits
+    slots = [*range(d), *range(half, half + d)]
+    return problem.fix_variables({slot * k + b: 0 for slot in slots for b in range(k)})
+
+
 def _aqae_run(
     h: HamiltonianMatrix | np.ndarray,
     initial: np.ndarray,
@@ -176,21 +202,10 @@ def _aqae_run(
     clock = build_clock(h, psi0, dt, steps, cfg.penalty_weight)
     cemb = real_embed(clock)
     d, nreg = clock.register_dim, clock.n_steps + 1
-    half = d * nreg
+    n_live = 2 * (clock.dim - d)
     cemb_norm = float(np.linalg.norm(cemb, 2))
 
-    exact_final = None
-    if oracle:
-        exact_final = Evolver(h).evolve(psi0, dt * steps)
-
-    prior = np.zeros(2 * half)
-    prior[:d] = psi0.real
-    prior[half : half + d] = psi0.imag
-    frozen_slots = list(range(d)) + list(range(half, half + d))
-    frozen_vars = {
-        slot * cfg.k_bits + b: 0 for slot in frozen_slots for b in range(cfg.k_bits)
-    }
-    n_live = 2 * half - len(frozen_slots)
+    exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
 
     # Digitization floor: the residual a perfect annealer leaves at zoom z is
     # O(2^-z) per live slot; energies below floor(z) cannot be improved at
@@ -198,7 +213,8 @@ def _aqae_run(
     def floor_at(z: int) -> float:
         return 16.0 * cemb_norm * n_live * 4.0 ** (-z)
 
-    state = AqaeState(estimate=prior, zoom=0)
+    estimate = initial_estimate(clock)
+    history: list[float] = []
     diagnostics: list[dict] = []
     checkpoints: list[_Checkpoint] = []
     iteration = 0
@@ -207,7 +223,7 @@ def _aqae_run(
     while z < cfg.max_zoom:
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
-            qubo, kept = build_qubo(cemb, params, state.estimate).fix_variables(frozen_vars)
+            qubo, kept = clock_qubo(clock, cemb, params, estimate)
             schedule = AnnealSchedule(
                 sweeps=cfg.sweeps,
                 reads=cfg.reads,
@@ -218,8 +234,8 @@ def _aqae_run(
             result = yield qubo, schedule
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
-            state.estimate = apply_bit_updates(state.estimate, bits, params)
-            state.energy_history.append(result.best_energy)
+            estimate = apply_bit_updates(estimate, bits, params)
+            history.append(result.best_energy)
             entry = {
                 "iteration": iteration,
                 "zoom": z,
@@ -227,24 +243,21 @@ def _aqae_run(
                 "clock_energy": result.best_energy,
             }
             if exact_final is not None:
-                entry["overlap"] = _final_register_overlap(state.estimate, exact_final, d, nreg)
+                entry["overlap"] = _final_register_overlap(estimate, exact_final, d, nreg)
             diagnostics.append(entry)
             iteration += 1
-        state.zoom = z + 1
-        checkpoints.append(
-            _Checkpoint(z, state.estimate.copy(), state.energy_history[-1], len(state.energy_history))
-        )
+        checkpoints.append(_Checkpoint(z, estimate.copy(), history[-1], len(history)))
         stalled = (
             cfg.rewind_enabled
             and rewinds < cfg.max_rewinds
-            and converged(state.energy_history, cfg)
-            and state.energy_history[-1] > floor_at(z)
+            and converged(history, cfg)
+            and history[-1] > floor_at(z)
         )
         if stalled:
             keep = _latest_non_increasing(checkpoints)
             cp = checkpoints[keep]
-            state.estimate = cp.estimate.copy()
-            state.energy_history = state.energy_history[: cp.history_len]
+            estimate = cp.estimate.copy()
+            history = history[: cp.history_len]
             checkpoints = checkpoints[: keep + 1]
             diagnostics.append(
                 {
@@ -257,16 +270,15 @@ def _aqae_run(
             )
             rewinds += 1
             z = cp.zoom + 1
-            state.zoom = z
             continue
         z += 1
 
-    final = unembed_state(state.estimate)[d * clock.n_steps :]
+    final = unembed_state(estimate)[d * clock.n_steps :]
     norm = np.linalg.norm(final)
     if norm < 1e-12:
         raise RuntimeError("AQAE final register collapsed to zero; no estimate available")
-    converged_flag = state.energy_history[-1] <= floor_at(cfg.max_zoom - 1)
-    return AqaeResult(final / norm, state, converged_flag, diagnostics, rewinds, clock)
+    converged_flag = history[-1] <= floor_at(cfg.max_zoom - 1)
+    return AqaeResult(final / norm, estimate, z, history, converged_flag, diagnostics, rewinds)
 
 
 def _final_register_overlap(estimate: np.ndarray, exact_final: np.ndarray, d: int, nreg: int) -> float:
@@ -425,9 +437,9 @@ def run_aqae_blocked(
                 rep,
                 skipped=False,
                 converged=res.converged,
-                zoom_levels=res.state.zoom,
+                zoom_levels=res.zoom,
                 rewinds=res.rewinds,
-                final_energy=res.state.energy_history[-1],
+                final_energy=res.energy_history[-1],
                 overlap=overlap,
             )
         assembled /= np.linalg.norm(assembled)

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .annealer import AnnealSchedule, anneal
-from .aqae import BlockedAqaeResult, run_aqae, run_aqae_blocked
+from .aqae import BlockedAqaeResult, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
 from .basis import BasisTag, StateVector, mass_blocks
-from .clock import DigitizationParams, Direction, QuboProblem, build_clock, build_qubo, real_embed
+from .clock import DigitizationParams, Direction, QuboProblem, build_clock, real_embed
 from .config import ConfigError, ExperimentConfig, load_config
 from .evolution import evolve_series
 from .hamiltonians import build_hamiltonian
@@ -94,16 +95,29 @@ def cmd_witness(state_path: str, out: str | None) -> int:
     return 0
 
 
+def _number(section: dict, name: str, key: str, kind: type, default=None, minimum=-math.inf):
+    """Numeric field ``name.key`` of a raw config section, as ``kind``."""
+    value = section.get(key, default)
+    try:
+        number = kind(value)
+        if math.isfinite(number) and number >= minimum and number == float(value):
+            return number
+    except (TypeError, ValueError):
+        pass
+    bound = f" >= {minimum}" if minimum > -math.inf else ""
+    raise ConfigError(f"{name}.{key}: expected a finite {kind.__name__}{bound}, got {value!r}")
+
+
 def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.initial is None:
         raise ConfigError("initial_state: required for qubo export")
     section = cfg.qubo
     if "time" not in section:
         raise ConfigError("qubo.time: required")
-    t = float(section["time"])
-    steps = int(section.get("steps", 1))
-    k_bits = int(section.get("k_bits", cfg.aqae.k_bits))
-    zoom = int(section.get("zoom", 0))
+    t = _number(section, "qubo", "time", float)
+    steps = _number(section, "qubo", "steps", int, 1, minimum=1)
+    k_bits = _number(section, "qubo", "k_bits", int, cfg.aqae.k_bits, minimum=1)
+    zoom = _number(section, "qubo", "zoom", int, 0, minimum=0)
     try:
         direction = Direction(str(section.get("direction", "forward")))
     except ValueError:
@@ -112,28 +126,19 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
 
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
     clock = build_clock(h.matrix, cfg.initial.amplitudes, t / steps, steps)
-    half = clock.dim
-    prior = np.zeros(2 * half)
-    d = clock.register_dim
-    prior[:d] = cfg.initial.amplitudes.real
-    prior[half : half + d] = cfg.initial.amplitudes.imag
-    problem = build_qubo(real_embed(clock), DigitizationParams(k_bits, zoom, direction), prior)
-    if freeze:
-        frozen = {
-            slot * k_bits + b: 0
-            for slot in list(range(d)) + list(range(half, half + d))
-            for b in range(k_bits)
-        }
-        problem, _ = problem.fix_variables(frozen)
+    params = DigitizationParams(k_bits, zoom, direction)
+    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock), freeze)
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)
     return 0
 
 
 def cmd_anneal(args: argparse.Namespace) -> int:
-    text = Path(args.qubo).read_text()
-    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-    problem = QuboProblem.from_text(body)
+    try:
+        problem = QuboProblem.from_text(Path(args.qubo).read_text())
+    except ValueError as exc:
+        print(f"invalid QUBO file {args.qubo}: {exc}", file=sys.stderr)
+        return 2
     schedule = AnnealSchedule(
         sweeps=args.sweeps,
         reads=args.reads,
@@ -146,13 +151,7 @@ def cmd_anneal(args: argparse.Namespace) -> int:
         "qubo": str(args.qubo),
         "size": problem.size,
         "offset": problem.offset,
-        "schedule": {
-            "sweeps": schedule.sweeps,
-            "reads": schedule.reads,
-            "beta_start": schedule.beta_start,
-            "beta_end": schedule.beta_end,
-            "seed": schedule.seed,
-        },
+        "schedule": asdict(schedule),
         "best_energy": result.best_energy,
         "best_bits": [int(b) for b in result.best_bits],
         "read_energy_min": float(np.min(result.all_read_energies)),
@@ -204,7 +203,7 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
     section = cfg.bench
     if "time" not in section:
         raise ConfigError("bench.time: required")
-    t = float(section["time"])
+    t = _number(section, "bench", "time", float)
     axis = str(section.get("axis", "k_bits"))
     if axis not in ("k_bits", "sweeps", "reads"):
         raise ConfigError(f"bench.axis: expected k_bits, sweeps, or reads, got {axis!r}")

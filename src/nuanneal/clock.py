@@ -15,11 +15,19 @@ Digitization of one amplitude slot at zoom level z (forward direction):
 so the most significant bit carries weight -2 at z=0 and every zoom step
 halves all weights.  The reverse direction negates every weight, providing a
 positive counterpart to the dominant negative digit.
+
+Data model: a :class:`QuboProblem` is dense from build to anneal, a linear
+vector ``lin``, a symmetric zero-diagonal coupling matrix ``quad`` and an
+``offset``; fixing variables slices rows and columns.  Coefficient maps
+(i, j) -> value exist only at the text and user boundary: the constructor,
+``to_text`` and ``from_text``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -181,57 +189,67 @@ def apply_bit_updates(prior: np.ndarray, bits: np.ndarray, params: DigitizationP
     return prior + bits.reshape(prior.shape[0], params.k_bits) @ digit_weights(params)
 
 
-@dataclass
+def _check_term(size: int, i: int, j: int, value: float) -> None:
+    if not 0 <= i <= j < size:
+        raise ValueError(f"coefficient index ({i}, {j}) out of range: need 0 <= i <= j < {size}")
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient ({i}, {j}) is not finite")
+
+
 class QuboProblem:
     """Quadratic form over binary variables plus a tracked constant offset.
 
-    ``coefficients`` maps (i, j) with i <= j to the coefficient of x_i x_j
-    (the diagonal entries are the linear terms).  Annealers ignore the
-    offset, but total energies reported to callers include it so that a
-    QUBO energy equals the quadratic form it was derived from.
+    ``lin[i]`` is the coefficient of x_i and ``quad`` is symmetric with a
+    zero diagonal; pair i < j contributes ``quad[i, j] x_i x_j``.  The
+    constructor takes the coefficient map of the text format instead: (i, j)
+    with i <= j to the coefficient of x_i x_j, diagonal entries being the
+    linear terms.  Annealers ignore the offset, but total energies reported
+    to callers include it so that a QUBO energy equals the quadratic form it
+    was derived from.
     """
 
-    size: int
-    coefficients: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-
-    def __post_init__(self):
-        normalized: dict[tuple[int, int], float] = {}
-        for (i, j), value in self.coefficients.items():
+    def __init__(self, size: int, coefficients: Mapping | None = None, offset: float = 0.0):
+        lin, quad = np.zeros(size), np.zeros((size, size))
+        for (i, j), value in (coefficients or {}).items():
             i, j, value = int(i), int(j), float(value)
-            if not 0 <= i <= j < self.size:
-                raise ValueError(f"coefficient index ({i}, {j}) out of range for size {self.size}")
-            if not np.isfinite(value):
-                raise ValueError(f"coefficient ({i}, {j}) is not finite")
-            normalized[(i, j)] = value
-        self.coefficients = normalized
-        self.offset = float(self.offset)
+            _check_term(size, i, j, value)
+            if i == j:
+                lin[i] = value
+            else:
+                quad[i, j] = quad[j, i] = value
+        self.lin, self.quad, self.offset = lin, quad, float(offset)
+
+    @classmethod
+    def from_arrays(cls, lin: np.ndarray, quad: np.ndarray, offset: float) -> "QuboProblem":
+        """Problem over ``lin`` and a symmetric zero-diagonal ``quad``, as given."""
+        q = cls.__new__(cls)
+        q.lin, q.quad, q.offset = lin, quad, float(offset)
+        return q
+
+    @property
+    def size(self) -> int:
+        return self.lin.shape[0]
 
     def energy(self, bits: np.ndarray | list[int]) -> float:
-        """Quadratic-form value of a bitstring, excluding the offset."""
-        bits = np.asarray(bits, dtype=float)
+        """Quadratic-form value of a bitstring, excluding the offset.
+
+        The selected coefficients are added left to right in row-major
+        (i <= j) order, the order of the text format.
+        """
+        bits = np.asarray(bits)
         if bits.shape != (self.size,):
             raise ValueError(f"expected {self.size} bits, got shape {bits.shape}")
-        total = 0.0
-        for (i, j), value in self.coefficients.items():
-            total += value * bits[i] * bits[j]
-        return float(total)
+        if not np.isin(bits, (0, 1)).all():
+            raise ValueError("bits must be 0 or 1")
+        on = np.flatnonzero(bits)
+        if not on.size:
+            return 0.0
+        terms = self.quad[np.ix_(on, on)]
+        terms[np.diag_indices(on.size)] = self.lin[on]
+        return float(np.cumsum(terms[np.triu_indices(on.size)])[-1])
 
     def total_energy(self, bits: np.ndarray | list[int]) -> float:
         return self.energy(bits) + self.offset
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(linear, quadratic) arrays: diagonal terms and a symmetric
-        zero-diagonal coupling matrix."""
-        lin = np.zeros(self.size)
-        quad = np.zeros((self.size, self.size))
-        for (i, j), value in self.coefficients.items():
-            if i == j:
-                lin[i] += value
-            else:
-                quad[i, j] += value
-                quad[j, i] += value
-        return lin, quad
 
     def fix_variables(self, assignments: dict[int, int]) -> tuple["QuboProblem", list[int]]:
         """Substitute constants for some variables.
@@ -239,63 +257,59 @@ class QuboProblem:
         Returns the reduced problem over the remaining variables (renumbered
         in ascending original order) and the list of kept original indices.
         """
+        fixed = np.zeros(self.size)
         for idx, val in assignments.items():
             if not 0 <= idx < self.size:
                 raise ValueError(f"fixed variable {idx} out of range")
             if val not in (0, 1):
                 raise ValueError(f"fixed value for variable {idx} must be 0 or 1")
+            fixed[idx] = val
         kept = [i for i in range(self.size) if i not in assignments]
-        renum = {orig: new for new, orig in enumerate(kept)}
-        coeffs: dict[tuple[int, int], float] = {}
-        offset = self.offset
-        for (i, j), value in self.coefficients.items():
-            fi, fj = i in assignments, j in assignments
-            if fi and fj:
-                offset += value * assignments[i] * assignments[j]
-            elif fi or fj:
-                fixed, free = (i, j) if fi else (j, i)
-                if assignments[fixed]:
-                    key = (renum[free], renum[free])
-                    coeffs[key] = coeffs.get(key, 0.0) + value
-            else:
-                key = (renum[i], renum[j])
-                coeffs[key] = coeffs.get(key, 0.0) + value
-        coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
-        return QuboProblem(len(kept), coeffs, offset), kept
-
-    def to_ising(self) -> tuple[np.ndarray, dict[tuple[int, int], float], float]:
-        """Spin form under x = (1 - s) / 2: fields, couplings, constant."""
-        h = np.zeros(self.size)
-        j: dict[tuple[int, int], float] = {}
-        const = self.offset
-        for (a, b), value in self.coefficients.items():
-            if a == b:
-                h[a] -= value / 2.0
-                const += value / 2.0
-            else:
-                j[(a, b)] = j.get((a, b), 0.0) + value / 4.0
-                h[a] -= value / 4.0
-                h[b] -= value / 4.0
-                const += value / 4.0
-        return h, j, const
+        lin = self.lin[kept] + self.quad[kept] @ fixed
+        quad = self.quad[np.ix_(kept, kept)]
+        return QuboProblem.from_arrays(lin, quad, self.offset + self.energy(fixed)), kept
 
     def to_text(self) -> str:
-        lines = [f"qubo {self.size} {self.offset!r}"]
-        for i, j in sorted(self.coefficients):
-            lines.append(f"{i} {j} {self.coefficients[(i, j)]!r}")
-        return "\n".join(lines) + "\n"
+        """Header plus one ``i j coefficient`` line per nonzero, row-major."""
+        upper = np.triu(self.quad, 1)
+        upper[np.diag_indices(self.size)] = self.lin
+        rows, cols = np.nonzero(upper)
+        terms = zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist())
+        lines = [f"{i} {j} {v!r}\n" for i, j, v in terms]
+        return f"qubo {self.size} {self.offset!r}\n" + "".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "QuboProblem":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("qubo "):
-            raise ValueError("QUBO text must start with a 'qubo <size> <offset>' header")
-        _, size_s, offset_s = lines[0].split()
-        coeffs = {}
-        for ln in lines[1:]:
-            i_s, j_s, v_s = ln.split()
-            coeffs[(int(i_s), int(j_s))] = float(v_s)
-        return cls(int(size_s), coeffs, float(offset_s))
+        """Parse the text format, skipping blank lines and ``#`` comments.
+
+        Raises ``ValueError`` naming the 1-based line of a bad header, of a
+        malformed, non-finite or out-of-range term, or of a repeated (i, j).
+        """
+        size, offset, coeffs = None, 0.0, {}
+        for number, line in enumerate(text.splitlines(), 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            try:
+                if size is None:
+                    if len(fields) != 3 or fields[0] != "qubo":
+                        raise ValueError("expected the header 'qubo <size> <offset>'")
+                    size, offset = int(fields[1]), float(fields[2])
+                    if size < 0 or not math.isfinite(offset):
+                        raise ValueError("the size must be non-negative and the offset finite")
+                    continue
+                if len(fields) != 3:
+                    raise ValueError(f"expected 'i j coefficient', got {len(fields)} fields")
+                key, value = (int(fields[0]), int(fields[1])), float(fields[2])
+                _check_term(size, *key, value)
+                if key in coeffs:
+                    raise ValueError(f"coefficient {key} repeats an earlier line")
+                coeffs[key] = value
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+        if size is None:
+            raise ValueError("QUBO text has no 'qubo <size> <offset>' header")
+        return cls(size, coeffs, offset)
 
 
 def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray) -> QuboProblem:
@@ -316,24 +330,8 @@ def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")
     w = digit_weights(params)
     quad = np.kron(c, np.outer(w, w))
-    lin = np.kron(2.0 * (c @ prior), w)
-    n_vars = c.shape[0] * params.k_bits
-    coeffs: dict[tuple[int, int], float] = {}
-    for i in range(n_vars):
-        diag = quad[i, i] + lin[i]
-        if diag != 0.0:
-            coeffs[(i, i)] = diag
-        row = quad[i, i + 1 :]
-        for off in np.nonzero(row)[0]:
-            coeffs[(i, i + 1 + int(off))] = 2.0 * row[off]
-    offset = float(prior @ c @ prior)
-    return QuboProblem(n_vars, coeffs, offset)
-
-
-@dataclass
-class AqaeState:
-    """Digitized trajectory estimate: real-embedded amplitudes plus history."""
-
-    estimate: np.ndarray
-    zoom: int = 0
-    energy_history: list[float] = field(default_factory=list)
+    # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
+    # signed zeros into 0.0, as the mirrored sum below does for the pairs.
+    lin = np.diag(quad) + np.kron(2.0 * (c @ prior), w) + 0.0
+    upper = np.triu(2.0 * quad, 1)
+    return QuboProblem.from_arrays(lin, upper + upper.T, float(prior @ c @ prior))

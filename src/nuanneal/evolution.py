@@ -45,9 +45,6 @@ class Evolver:
         self.matrix = _as_matrix(h)
         self.evals, self.evecs = _eigh(self.matrix)
 
-    def propagator(self, t: float) -> np.ndarray:
-        return (self.evecs * np.exp(-1j * self.evals * t)) @ self.evecs.conj().T
-
     def evolve(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         coeffs = self.evecs.conj().T @ amplitudes
         return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)

@@ -216,3 +216,23 @@ def negativity_oracle(amplitudes: np.ndarray, i: int, j: int, nf: int, n_modes: 
     rho_pt = rho.transpose(0, 3, 2, 1).reshape(nf * nf, nf * nf)
     sv = np.linalg.svd(rho_pt, compute_uv=False)
     return float(np.log2(sv.sum()))
+
+
+# ---------------------------------------------------------------------------
+# Malformed QUBO text: (case id, text, 1-based bad line, message fragment)
+# ---------------------------------------------------------------------------
+
+BAD_QUBO_TEXTS = [
+    ("no-header", "0 0 1.0\n", 1, "header"),
+    ("short-header", "qubo 2\n0 0 1.0\n", 1, "header"),
+    ("bad-size", "# exported\nqubo two 0.0\n", 2, "'two'"),
+    ("bad-offset", "qubo 2 nan\n", 1, "offset finite"),
+    ("two-fields", "qubo 2 0.0\n0 0\n", 2, "2 fields"),
+    ("four-fields", "qubo 2 0.0\n0 0 1.0 2.0\n", 2, "4 fields"),
+    ("non-numeric", "qubo 2 0.0\n0 0 1.0\n\n0 1 abc\n", 4, "'abc'"),
+    ("non-finite", "qubo 2 0.0\n0 1 inf\n", 2, "(0, 1) is not finite"),
+    ("non-integer-index", "qubo 2 0.0\n0.5 1 1.0\n", 2, "'0.5'"),
+    ("out-of-range", "qubo 2 0.0\n0 2 1.0\n", 2, "(0, 2) out of range"),
+    ("lower-triangle", "qubo 2 0.0\n1 0 1.0\n", 2, "(1, 0) out of range"),
+    ("duplicate", "qubo 2 0.0\n0 0 1.0\n0 0 -5.0\n", 3, "(0, 0) repeats"),
+]

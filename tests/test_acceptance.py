@@ -19,14 +19,13 @@ from helpers import (
 )
 
 from nuanneal.annealer import AnnealSchedule, anneal, exhaustive_minimum
-from nuanneal.aqae import AqaeConfig, run_aqae, run_aqae_blocked
+from nuanneal.aqae import AqaeConfig, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
 from nuanneal.basis import BasisTag, mass_blocks
 from nuanneal.clock import (
     DigitizationParams,
     Direction,
     QuboProblem,
     build_clock,
-    build_qubo,
     digit_weights,
     real_embed,
 )
@@ -122,17 +121,18 @@ def test_criterion_03_zoom_count_small_system():
     _report(3, "single-bit digitization converges within 35 zoom levels", failures)
 
 
-def _exhaustive_failures(cemb, prior, k_bits, frozen):
+def _exhaustive_failures(clock, k_bits, frozen):
     failures = []
+    cemb = real_embed(clock)
+    prior = initial_estimate(clock)
     n_slots = cemb.shape[0]
     for zoom in (0, 1, 2):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(k_bits, zoom, direction)
-            full = build_qubo(cemb, params, prior)
-            problem, kept = (full.fix_variables(frozen) if frozen else (full, list(range(full.size))))
+            problem, kept = clock_qubo(clock, cemb, params, prior, freeze=frozen)
             if problem.size > 20:
                 raise AssertionError(f"test instance has {problem.size} > 20 variables")
-            lin, quad = problem.dense()
+            lin, quad = problem.lin, problem.quad
             w = digit_weights(params)
             worst = 0.0
             # Enumerate in chunks so the 2^20-state instances stay in memory.
@@ -145,14 +145,14 @@ def _exhaustive_failures(cemb, prior, k_bits, frozen):
                     + 0.5 * np.einsum("bi,bi->b", states @ quad, states)
                     + problem.offset
                 )
-                bits_full = np.zeros((states.shape[0], full.size))
+                bits_full = np.zeros((states.shape[0], n_slots * k_bits))
                 bits_full[:, kept] = states
                 amplitudes = prior[None, :] + bits_full.reshape(-1, n_slots, k_bits) @ w
                 forms = np.einsum("bi,ij,bj->b", amplitudes, cemb, amplitudes)
                 worst = max(worst, float(np.max(np.abs(qubo_energy - forms))))
             if worst > 1e-12:
                 failures.append(
-                    f"K={k_bits} z={zoom} {direction.value} frozen={bool(frozen)}: "
+                    f"K={k_bits} z={zoom} {direction.value} frozen={frozen}: "
                     f"max deviation {worst:.2e}"
                 )
     return failures
@@ -193,21 +193,11 @@ def test_criterion_04_qubo_quadratic_form_faithfulness():
     instances.append((build_clock(m5 + m5.conj().T, psi5, dt=0.3), 1))
 
     for clock, k_bits in instances:
-        cemb = real_embed(clock)
-        half = clock.dim
-        d = clock.register_dim
-        prior = np.zeros(2 * half)
-        prior[:d] = clock.initial.real
-        prior[half : half + d] = clock.initial.imag
-        frozen = {
-            slot * k_bits + b: 0
-            for slot in list(range(d)) + list(range(half, half + d))
-            for b in range(k_bits)
-        }
-        for frozen_choice in (None, frozen):
-            if (2 * half - (len(frozen) // k_bits if frozen_choice else 0)) * k_bits > 20:
+        for frozen in (False, True):
+            live_slots = 2 * clock.dim - (2 * clock.register_dim if frozen else 0)
+            if live_slots * k_bits > 20:
                 continue
-            failures += _exhaustive_failures(cemb, prior, k_bits, frozen_choice)
+            failures += _exhaustive_failures(clock, k_bits, frozen)
     _report(4, "QUBO energy plus offset equals the clock quadratic form", failures)
 
 

@@ -92,7 +92,7 @@ class TestRunAqae:
         psi0 = np.zeros(9, dtype=complex)
         psi0[1] = 1.0
         res = run_aqae(h, psi0, dt=1e11, cfg=CFG)
-        full = unembed_state(res.state.estimate)
+        full = unembed_state(res.estimate)
         np.testing.assert_array_equal(full[:9], psi0)
 
     def test_deterministic_given_seed(self):
@@ -102,7 +102,7 @@ class TestRunAqae:
         a = run_aqae(h, psi0, dt=1e11, cfg=CFG)
         b = run_aqae(h, psi0, dt=1e11, cfg=CFG)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-        assert a.state.energy_history == b.state.energy_history
+        assert a.energy_history == b.energy_history
 
     def test_error_envelope_shrinks_with_zoom(self):
         h = np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, -0.2]])
@@ -111,7 +111,7 @@ class TestRunAqae:
         for zooms in (3, 5, 7, 9):
             cfg = AqaeConfig(k_bits=1, max_zoom=zooms, reads=32, sweeps=64, seed=2)
             res = run_aqae(h, psi0, dt=1.2, cfg=cfg)
-            raw_final = unembed_state(res.state.estimate)[2:]
+            raw_final = unembed_state(res.estimate)[2:]
             err = np.max(np.abs(raw_final - exact))
             # Cross-component couplings let the quadratic-form optimum sit a
             # bounded factor above the per-component digitization envelope.
@@ -163,7 +163,7 @@ class TestRunAqae:
         )
         res = run_aqae(h, psi0, dt=1.0, cfg=cfg)
         assert res.rewinds == 0
-        assert len(res.state.energy_history) == 20
+        assert len(res.energy_history) == 20
 
 
 class TestRunAqaeBlocked:
@@ -256,10 +256,10 @@ class TestRunAqaeBlocked:
                 replace(acfg, seed=_block_seed(acfg.seed, 0, b_idx)),
                 oracle=True,
             )
-            assert rep.final_energy == alone.state.energy_history[-1]
+            assert rep.final_energy == alone.energy_history[-1]
             assert rep.overlap == alone.diagnostics[-1]["overlap"]
             assert (rep.zoom_levels, rep.rewinds, rep.converged) == (
-                alone.state.zoom,
+                alone.zoom,
                 alone.rewinds,
                 alone.converged,
             )

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import REFERENCE_S3, REFERENCE_TIMES
+from helpers import BAD_QUBO_TEXTS, REFERENCE_S3, REFERENCE_TIMES
 
 from nuanneal.annealer import exhaustive_minimum
 from nuanneal.cli import main
@@ -175,6 +175,35 @@ class TestQuboAnnealRoundTrip:
         assert payload["best_energy"] == pytest.approx(expected, abs=1e-12)
         assert len(payload["best_bits"]) == 8
         assert payload["read_energy_min"] <= payload["read_energy_median"]
+
+
+    @pytest.mark.parametrize(
+        "text, line", [case[1:3] for case in BAD_QUBO_TEXTS], ids=[c[0] for c in BAD_QUBO_TEXTS]
+    )
+    def test_malformed_qubo_file_exits_2_naming_file_and_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.qubo"
+        path.write_text(text)
+        assert main(["anneal", "--qubo", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid QUBO file {path}: line {line}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("time", "two"), ("steps", "two"), ("k_bits", "two"), ("zoom", "two"), ("zoom", "1.5")],
+    )
+    def test_non_numeric_qubo_field_is_a_config_error(self, small_cfg, tmp_path, capsys, field, value):
+        section = {"time": "1.0e12", "steps": "1", "k_bits": "1", "zoom": "0"}
+        section[field] = value
+        lines = "".join(f"  {key}: {value}\n" for key, value in section.items())
+        small_cfg.write_text(small_cfg.read_text() + "qubo:\n" + lines)
+        assert main(["qubo", "--config", str(small_cfg), "--out", str(tmp_path / "q")]) == 2
+        assert f"qubo.{field}: expected" in capsys.readouterr().err
+
+    def test_out_of_range_qubo_field_is_a_config_error(self, small_cfg, tmp_path, capsys):
+        small_cfg.write_text(small_cfg.read_text() + "qubo:\n  time: 1.0e12\n  steps: 0\n")
+        assert main(["qubo", "--config", str(small_cfg)]) == 2
+        assert "qubo.steps: expected a finite int >= 1" in capsys.readouterr().err
 
 
 class TestWitnessCommand:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import reference_config
+from helpers import BAD_QUBO_TEXTS, reference_config
 
 from nuanneal.basis import BasisTag
 from nuanneal.clock import (
@@ -173,13 +173,15 @@ class TestBuildQubo:
         q = build_qubo(c, DigitizationParams(k_bits=1, zoom=0), np.zeros(1))
         # amplitude -2 q gives energy 4 c q^2 = 4 c q
         assert q.size == 1
-        assert q.coefficients == {(0, 0): 6.0}
+        np.testing.assert_array_equal(q.lin, [6.0])
+        np.testing.assert_array_equal(q.quad, [[0.0]])
         assert q.offset == 0.0
 
     def test_zero_matrix_gives_no_coefficients(self):
         q = build_qubo(np.zeros((3, 3)), DigitizationParams(k_bits=2), np.zeros(3))
-        assert q.coefficients == {}
+        assert not q.lin.any() and not q.quad.any()
         assert q.size == 6
+        assert q.to_text() == "qubo 6 0.0\n"
 
     @pytest.mark.parametrize("zoom", [0, 1, 2])
     @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.REVERSE])
@@ -217,11 +219,47 @@ class TestQuboProblem:
         back = QuboProblem.from_text(q.to_text())
         assert back.size == q.size
         assert back.offset == q.offset
-        assert back.coefficients == q.coefficients
+        np.testing.assert_array_equal(back.lin, q.lin)
+        np.testing.assert_array_equal(back.quad, q.quad)
 
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             QuboProblem.from_text("not a qubo\n")
+        with pytest.raises(ValueError, match="no 'qubo <size> <offset>' header"):
+            QuboProblem.from_text("# only a comment\n\n")
+
+    @pytest.mark.parametrize(
+        "text, line, fragment", [case[1:] for case in BAD_QUBO_TEXTS], ids=[c[0] for c in BAD_QUBO_TEXTS]
+    )
+    def test_from_text_names_the_bad_line(self, text, line, fragment):
+        with pytest.raises(ValueError, match=rf"^line {line}: ") as info:
+            QuboProblem.from_text(text)
+        assert fragment in str(info.value)
+
+    def test_from_text_skips_comments_and_blank_lines(self):
+        q = QuboProblem.from_text("# header comment\n\nqubo 2 0.5\n# note\n0 1 -3.0\n\n1 1 2.0\n")
+        np.testing.assert_array_equal(q.lin, [0.0, 2.0])
+        np.testing.assert_array_equal(q.quad, [[0.0, -3.0], [-3.0, 0.0]])
+        assert q.offset == 0.5
+
+    def test_energy_equals_sequential_coefficient_loop(self, rng):
+        # Reference: add coefficient * x_i * x_j left to right over i <= j in
+        # row-major order, starting from 0.0; energy() must match bit for bit.
+        c = rng.normal(size=(4, 4))
+        full = build_qubo(c + c.T, DigitizationParams(k_bits=2, zoom=3), rng.normal(size=4))
+        reduced, _ = full.fix_variables({0: 0, 3: 0, 6: 1})
+        for q in (full, reduced):
+            for _ in range(200):
+                bits = rng.integers(0, 2, q.size)
+                total = 0.0
+                for i in range(q.size):
+                    for j in range(i, q.size):
+                        total += (q.lin[i] if i == j else q.quad[i, j]) * bits[i] * bits[j]
+                assert q.energy(bits) == total
+
+    def test_energy_rejects_non_binary_bits(self):
+        with pytest.raises(ValueError):
+            QuboProblem(2, {(0, 1): 1.0}).energy([0.5, 1.0])
 
     def test_fix_variables_energy_consistency(self, rng):
         coeffs = {
@@ -243,15 +281,12 @@ class TestQuboProblem:
         with pytest.raises(ValueError):
             q.fix_variables({5: 0})
 
-    def test_ising_conversion_energy_equivalence(self, rng):
-        coeffs = {(i, j): float(rng.normal()) for i in range(3) for j in range(i, 3)}
-        q = QuboProblem(3, coeffs, offset=-0.5)
-        h, j, const = q.to_ising()
-        for bits in itertools.product((0, 1), repeat=3):
-            spins = 1.0 - 2.0 * np.array(bits)
-            ising = const + h @ spins + sum(v * spins[a] * spins[b] for (a, b), v in j.items())
-            assert abs(ising - q.total_energy(np.array(bits))) < 1e-12
-
     def test_rejects_out_of_range_coefficient(self):
         with pytest.raises(ValueError):
             QuboProblem(2, {(0, 2): 1.0})
+        with pytest.raises(ValueError):
+            QuboProblem(2, {(1, 0): 1.0})
+
+    def test_rejects_non_finite_coefficient(self):
+        with pytest.raises(ValueError, match="not finite"):
+            QuboProblem(2, {(0, 1): float("nan")})
