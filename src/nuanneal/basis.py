@@ -198,25 +198,6 @@ def embed_single_mode(op: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
 
-def embed_two_modes(op_a: np.ndarray, op_b: np.ndarray, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
-    """Kronecker embedding of op_a on mode_a and op_b on mode_b (mode_a < mode_b)."""
-    if mode_a >= mode_b:
-        raise ValueError("mode_a must be smaller than mode_b")
-    op_a = np.asarray(op_a, dtype=complex)
-    op_b = np.asarray(op_b, dtype=complex)
-    nf = op_a.shape[0]
-    if op_b.shape != op_a.shape:
-        raise ValueError("operators must act on the same local dimension")
-    if not 0 <= mode_a < mode_b < n_modes:
-        raise ValueError(f"modes ({mode_a}, {mode_b}) out of range for n_modes={n_modes}")
-    mid = nf ** (mode_b - mode_a - 1)
-    right = nf ** (n_modes - mode_b - 1)
-    m = np.kron(np.eye(nf**mode_a), op_a)
-    m = np.kron(m, np.eye(mid))
-    m = np.kron(m, op_b)
-    return np.kron(m, np.eye(right))
-
-
 def apply_mode_unitary(amplitudes: np.ndarray, u: np.ndarray, nf: int, n_modes: int) -> np.ndarray:
     """Apply the same single-mode unitary to every mode of a statevector."""
     t = amplitudes.reshape([nf] * n_modes)

@@ -95,9 +95,9 @@ def cmd_witness(state_path: str, out: str | None) -> int:
     return 0
 
 
-def _number(section: dict, name: str, key: str, kind: type, default=None, minimum=-math.inf):
-    """Numeric field ``name.key`` of a raw config section, as ``kind``."""
-    value = section.get(key, default)
+def _number(value, name: str, kind: type, minimum=-math.inf):
+    """Config field ``name`` as a finite ``kind`` of at least ``minimum``
+    (a fractional value is not an int); ``ConfigError`` naming it otherwise."""
     try:
         number = kind(value)
         if math.isfinite(number) and number >= minimum and number == float(value):
@@ -105,7 +105,7 @@ def _number(section: dict, name: str, key: str, kind: type, default=None, minimu
     except (TypeError, ValueError):
         pass
     bound = f" >= {minimum}" if minimum > -math.inf else ""
-    raise ConfigError(f"{name}.{key}: expected a finite {kind.__name__}{bound}, got {value!r}")
+    raise ConfigError(f"{name}: expected a finite {kind.__name__}{bound}, got {value!r}")
 
 
 def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
@@ -114,10 +114,10 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     section = cfg.qubo
     if "time" not in section:
         raise ConfigError("qubo.time: required")
-    t = _number(section, "qubo", "time", float)
-    steps = _number(section, "qubo", "steps", int, 1, minimum=1)
-    k_bits = _number(section, "qubo", "k_bits", int, cfg.aqae.k_bits, minimum=1)
-    zoom = _number(section, "qubo", "zoom", int, 0, minimum=0)
+    t = _number(section["time"], "qubo.time", float)
+    steps = _number(section.get("steps", 1), "qubo.steps", int, 1)
+    k_bits = _number(section.get("k_bits", cfg.aqae.k_bits), "qubo.k_bits", int, 1)
+    zoom = _number(section.get("zoom", 0), "qubo.zoom", int, 0)
     try:
         direction = Direction(str(section.get("direction", "forward")))
     except ValueError:
@@ -138,6 +138,9 @@ def cmd_anneal(args: argparse.Namespace) -> int:
         problem = QuboProblem.from_text(Path(args.qubo).read_text())
     except ValueError as exc:
         print(f"invalid QUBO file {args.qubo}: {exc}", file=sys.stderr)
+        return 2
+    if problem.size == 0:
+        print(f"invalid QUBO file {args.qubo}: its header declares no variables", file=sys.stderr)
         return 2
     schedule = AnnealSchedule(
         sweeps=args.sweeps,
@@ -203,23 +206,25 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
     section = cfg.bench
     if "time" not in section:
         raise ConfigError("bench.time: required")
-    t = _number(section, "bench", "time", float)
+    t = _number(section["time"], "bench.time", float)
     axis = str(section.get("axis", "k_bits"))
     if axis not in ("k_bits", "sweeps", "reads"):
         raise ConfigError(f"bench.axis: expected k_bits, sweeps, or reads, got {axis!r}")
     values = section.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("bench.values: expected a non-empty list")
+    least = 0 if axis == "sweeps" else 1
+    values = [_number(v, f"bench.values[{i}]", int, least) for i, v in enumerate(values)]
     zooms = section.get("zooms", [cfg.aqae.max_zoom - 1])
     if not isinstance(zooms, list) or not zooms:
         raise ConfigError("bench.zooms: expected a non-empty list")
-    zooms = [int(z) for z in zooms]
+    zooms = [_number(z, f"bench.zooms[{i}]", int, 0) for i, z in enumerate(zooms)]
 
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
     lines = _header_lines(cfg)
     lines.append(f"zoom,{axis},infidelity")
     for value in values:
-        run_cfg = replace(cfg.aqae, max_zoom=max(zooms) + 1, **{axis: int(value)})
+        run_cfg = replace(cfg.aqae, max_zoom=max(zooms) + 1, **{axis: value})
         res = run_aqae(h.matrix, cfg.initial.amplitudes, t, run_cfg, oracle=True)
         by_zoom = {
             entry["zoom"]: entry["overlap"]
@@ -228,7 +233,7 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
         }
         for z in zooms:
             infidelity = 1.0 - by_zoom[z]
-            lines.append(f"{z},{int(value)},{_fmt(infidelity)}")
+            lines.append(f"{z},{value},{_fmt(infidelity)}")
     _write_text(out, "\n".join(lines) + "\n")
     return 0
 

@@ -10,16 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisTag, StateVector
-from .hamiltonians import HamiltonianMatrix, Species, Statistics, SystemSpec, build_hamiltonian
-
-UNITARITY_TOL = 1e-11
+from .basis import (
+    BasisTag,
+    StateVector,
+    apply_mode_unitary,
+    generator_vector,
+    mass_blocks,
+    pmns_matrix,
+)
+from .hamiltonians import (
+    HamiltonianMatrix,
+    Species,
+    Statistics,
+    SystemSpec,
+    build_hamiltonian,
+    restrict_to_block,
+)
 
 
 def _as_matrix(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
     m = h.matrix if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=complex)
-    scale = max(1.0, np.max(np.abs(m))) if m.size else 1.0
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * np.max(np.abs(m)):
         raise ValueError("propagator requires a Hermitian matrix")
     return m
 
@@ -53,22 +64,32 @@ class Evolver:
 def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) -> list[StateVector]:
     """Exact states at the given times, in the basis of the initial state.
 
-    Mixed neutrino/antineutrino and Majorana systems only admit the flavor
-    basis; all-neutrino Dirac systems evolve in whichever basis the initial
-    state carries.
+    Mixed neutrino/antineutrino and Majorana systems (flavor basis only) take
+    one dense eigendecomposition, as does a system with a one-body vector off
+    the diagonal generators (lambda_3, lambda_8; sigma_3 for nf=2).  Any
+    other system conserves each mass-eigenstate occupation and evolves in the
+    mass basis, one eigendecomposition per occupation block with amplitude.
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
-    nonflavor_ok = spec.statistics is Statistics.DIRAC and all(
-        s is Species.NEUTRINO for s in spec.species
-    )
-    if initial.basis is BasisTag.MASS and not nonflavor_ok:
-        raise ValueError("this system is only defined in the flavor basis")
-    h = build_hamiltonian(spec, initial.basis)
-    evolver = Evolver(h)
-    out = []
-    for t in times:
-        amp = evolver.evolve(initial.amplitudes, t)
-        amp = amp / np.linalg.norm(amp)
-        out.append(initial.with_amplitudes(amp))
-    return out
+    dirac = spec.statistics is Statistics.DIRAC and all(s is Species.NEUTRINO for s in spec.species)
+    gens = generator_vector(spec.nf)
+    off_diagonal = np.any(gens * (1 - np.eye(spec.nf)), axis=(1, 2))
+    if not dirac or (np.any(spec.b_vector[:, off_diagonal]) and not spec.interaction_only):
+        evolver = Evolver(build_hamiltonian(spec, initial.basis))
+        amps = [evolver.evolve(initial.amplitudes, t) for t in times]
+        return [initial.with_amplitudes(amp / np.linalg.norm(amp)) for amp in amps]
+    # Evolve in the mass basis block by block and rotate back only the change
+    # since t = 0, so that a state that does not move is returned exactly.
+    u = pmns_matrix(spec.pmns, spec.nf) if initial.basis is BasisTag.FLAVOR else np.eye(spec.nf)
+    psi = apply_mode_unitary(initial.amplitudes, u.conj().T, spec.nf, spec.n_modes)
+    h = build_hamiltonian(spec, BasisTag.MASS)
+    changes = np.zeros((len(times), spec.dim), dtype=complex)
+    for block in mass_blocks(spec.nf, spec.n_modes):
+        idx = np.asarray(block.indices)
+        if np.any(psi[idx]):
+            evolver = Evolver(restrict_to_block(h, block))
+            for change, t in zip(changes, times):
+                change[idx] = evolver.evolve(psi[idx], t) - psi[idx]
+    amps = [initial.amplitudes + apply_mode_unitary(c, u, spec.nf, spec.n_modes) for c in changes]
+    return [initial.with_amplitudes(amp / np.linalg.norm(amp)) for amp in amps]

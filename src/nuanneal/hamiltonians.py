@@ -11,6 +11,7 @@ are eV^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,12 +22,11 @@ from .basis import (
     BasisTag,
     OccupationBlock,
     PmnsParams,
-    embed_single_mode,
-    embed_two_modes,
     generator_vector,
     pmns_matrix,
 )
 
+# Both tolerances are relative to max |H|.
 HERMITICITY_TOL = 1e-12
 OFF_BLOCK_TOL = 1e-10
 
@@ -184,103 +184,107 @@ class HamiltonianMatrix:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
-        scale = max(1.0, np.max(np.abs(self.matrix)))
+        scale = np.max(np.abs(self.matrix))
         dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if dev > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+            raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}, max |H| {scale:.3e}")
 
 
-def _one_body_term(spec: SystemSpec, basis: BasisTag) -> np.ndarray:
-    """Sum over modes of the B-dot-generator operator, optionally PMNS-rotated."""
-    gens = generator_vector(spec.nf)
-    u = pmns_matrix(spec.pmns, spec.nf)
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for p in range(spec.n_modes):
+def _add_one_body(h: np.ndarray, spec: SystemSpec, basis: BasisTag) -> None:
+    """Add the sum over modes of the B-dot-generator operator into ``h``,
+    PMNS-rotated in the flavor basis."""
+    nf, n = spec.nf, spec.n_modes
+    gens = generator_vector(nf)
+    u = pmns_matrix(spec.pmns, nf)
+    for p in range(n):
         local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
         if basis is BasisTag.FLAVOR:
             local = u @ local @ u.conj().T
-        h += embed_single_mode(local, p, spec.n_modes)
-    return h
+        left, right = nf**p, nf ** (n - p - 1)
+        # A view of h with one nf x nf block per digit string of the other modes.
+        blocks = np.einsum("aibajb->abij", h.reshape(left, nf, right, left, nf, right))
+        blocks += local
 
 
-def _pair_term(spec: SystemSpec, left: np.ndarray, right: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Generator-dot-generator coupling k (1 - cos theta_pq) on modes p < q."""
-    coupling = spec.pair_coupling(p, q)
+def _add_pairs(h: np.ndarray, spec: SystemSpec, form_of) -> None:
+    """Add sum_{p<q} k (1 - cos theta_pq) (x P_pq + y K_pq + z) into ``h`` in
+    place, pair by pair in p < q order, with ``(x, y, z) = form_of(p, q)``.
+
+    P_pq swaps the digits of modes p and q, and K_pq = sum_ab |..a..a..><..b..b..|
+    on them; both are index maps over the digit table, so no pair operator is
+    ever formed as a matrix.
+    """
+    index = np.arange(spec.dim).reshape((spec.nf,) * spec.n_modes)
+    rows = index.reshape(-1)
+    diagonal = np.einsum("ii->i", h)
+    off_diagonal = 1.0 - np.eye(spec.nf)
+    for p, q in itertools.combinations(range(spec.n_modes), 2):
+        k = spec.pair_coupling(p, q)
+        if k == 0.0:
+            continue
+        x, y, z = form_of(p, q)
+        partner = index.swapaxes(p, q).reshape(-1)
+        fixed = partner == rows
+        diagonal += np.where(fixed, k * (x + y + z), k * z)
+        if x:
+            h[partner[~fixed], rows[~fixed]] += k * x
+        if y:
+            ends = np.diagonal(index, axis1=p, axis2=q).reshape(-1, spec.nf)
+            h[ends[:, :, None], ends[:, None, :]] += k * y * off_diagonal
+
+
+def _assemble(spec: SystemSpec, basis: BasisTag, form_of) -> HamiltonianMatrix:
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if coupling == 0.0:
-        return h
-    for a, b in zip(left, right):
-        h += embed_two_modes(a, b, p, q, spec.n_modes)
-    return coupling * h
+    if not spec.interaction_only:
+        _add_one_body(h, spec, basis)
+    _add_pairs(h, spec, form_of)
+    return HamiltonianMatrix(h, basis)
 
 
 def build_dirac_hamiltonian(spec: SystemSpec, basis: BasisTag) -> HamiltonianMatrix:
     """Neutrino-neutrino Hamiltonian for all-neutrino Dirac systems.
 
-    The two-body generator-exchange term is identical in both bases; only the
-    one-body term is conjugated by the per-mode PMNS matrix in the flavor
-    basis.  ``interaction_only`` drops the one-body term entirely.
+    The two-body term k_pq sum_a lambda_a (x) lambda_a = k_pq (2 P_pq - 2/nf)
+    is identical in both bases; only the one-body term is conjugated by the
+    per-mode PMNS matrix in the flavor basis.  ``interaction_only`` drops the
+    one-body term entirely.
     """
     if spec.statistics is not Statistics.DIRAC:
         raise ValueError("build_dirac_hamiltonian requires Dirac statistics")
     if any(s is not Species.NEUTRINO for s in spec.species):
         raise ValueError("build_dirac_hamiltonian requires all-neutrino species")
-    gens = generator_vector(spec.nf)
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if not spec.interaction_only:
-        h += _one_body_term(spec, basis)
-    for p in range(spec.n_modes):
-        for q in range(p + 1, spec.n_modes):
-            h += _pair_term(spec, gens, gens, p, q)
-    return HamiltonianMatrix(h, basis)
+    return _assemble(spec, basis, lambda p, q: (2.0, 0.0, -2.0 / spec.nf))
 
 
 def build_nu_antinu_hamiltonian(spec: SystemSpec) -> HamiltonianMatrix:
     """Mixed neutrino/antineutrino Hamiltonian, flavor basis only.
 
-    Like-species pairs carry the plain generator-exchange coupling; mixed
-    pairs pick up a factor of -2 with an elementwise complex conjugation on
-    the lower-index mode's generators.  The mixed term is basis-dependent,
-    so no mass-basis form exists.
+    Like-species pairs carry the plain exchange term k_pq (2 P - 2/nf).
+    Mixed pairs conjugate the lower-index mode's generators and pick up a
+    factor -2: -2 k_pq sum_a lambda_a* (x) lambda_a = -2 k_pq (2 K - 2/nf).
+    The mixed term is basis-dependent, so no mass-basis form exists.
     """
     if spec.statistics is not Statistics.DIRAC:
         raise ValueError("build_nu_antinu_hamiltonian requires Dirac statistics")
     if all(s is Species.NEUTRINO for s in spec.species):
         raise ValueError("no antineutrino modes present; use build_dirac_hamiltonian")
-    gens = generator_vector(spec.nf)
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if not spec.interaction_only:
-        h += _one_body_term(spec, BasisTag.FLAVOR)
-    for p in range(spec.n_modes):
-        for q in range(p + 1, spec.n_modes):
-            if spec.species[p] is spec.species[q]:
-                h += _pair_term(spec, gens, gens, p, q)
-            else:
-                h += -2.0 * _pair_term(spec, gens.conj(), gens, p, q)
-    return HamiltonianMatrix(h, BasisTag.FLAVOR)
+    like, mixed = (2.0, 0.0, -2.0 / spec.nf), (0.0, -4.0, 4.0 / spec.nf)
+    return _assemble(
+        spec, BasisTag.FLAVOR, lambda p, q: like if spec.species[p] is spec.species[q] else mixed
+    )
 
 
 def build_majorana_hamiltonian(spec: SystemSpec) -> HamiltonianMatrix:
     """Self-conjugate neutrino Hamiltonian, flavor basis only.
 
     Every pair couples through +2 k (1 - cos theta) times the dot product of
-    the elementwise imaginary parts of the generator vectors; only the
-    antisymmetric generators survive.
+    the elementwise imaginary parts of the generator vectors, where only the
+    antisymmetric generators survive: 2 sum_a Im lambda_a (x) Im lambda_a =
+    2 (K - P).
     """
     if spec.statistics is not Statistics.MAJORANA:
         raise ValueError("build_majorana_hamiltonian requires Majorana statistics")
-    gens_im = generator_vector(spec.nf).imag.astype(complex)
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if not spec.interaction_only:
-        h += _one_body_term(spec, BasisTag.FLAVOR)
-    for p in range(spec.n_modes):
-        for q in range(p + 1, spec.n_modes):
-            h += 2.0 * _pair_term(spec, gens_im, gens_im, p, q)
-    return HamiltonianMatrix(h, BasisTag.FLAVOR)
+    return _assemble(spec, BasisTag.FLAVOR, lambda p, q: (-2.0, 2.0, 0.0))
 
 
 def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> HamiltonianMatrix:
@@ -300,18 +304,20 @@ def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> np.ndarra
     """Dense sub-matrix of a mass-basis Hamiltonian on one occupation block.
 
     Valid only for Hamiltonians whose two-body term conserves per-eigenstate
-    occupation (the all-neutrino Dirac case); any off-block coupling above
-    tolerance means the caller picked the wrong Hamiltonian.
+    occupation (the all-neutrino Dirac case) and whose one-body term is
+    diagonal in the mass basis; an off-block coupling above
+    ``OFF_BLOCK_TOL`` times max |H| means the caller picked the wrong
+    Hamiltonian.
     """
     if h.basis is not BasisTag.MASS:
         raise ValueError("block restriction requires a mass-basis Hamiltonian")
     idx = np.asarray(block.indices)
-    mask = np.zeros(h.dim, dtype=bool)
-    mask[idx] = True
-    off = np.max(np.abs(h.matrix[np.ix_(mask, ~mask)])) if mask.sum() < h.dim else 0.0
-    if off > OFF_BLOCK_TOL:
+    rows = h.matrix[idx]
+    off = np.max(np.abs(np.delete(rows, idx, axis=1)), initial=0.0)
+    scale = np.max(np.abs(h.matrix)) if off else 0.0
+    if off > OFF_BLOCK_TOL * scale:
         raise ValueError(
-            f"off-block coupling {off:.3e} exceeds {OFF_BLOCK_TOL:.0e}; "
-            "Hamiltonian is not block-diagonal over occupation blocks"
+            f"off-block coupling {off:.3e} exceeds {OFF_BLOCK_TOL:.0e} of max |H| {scale:.3e}: "
+            "the Hamiltonian is not block-diagonal over occupation blocks"
         )
-    return h.matrix[np.ix_(idx, idx)]
+    return rows[:, idx]

@@ -1,18 +1,19 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's construction paths:
-partial traces are explicit index sums, many-body operators are assembled
-with raw np.kron chains, and expected witness values for the reference
-four-mode system come from an exchange-operator model that never touches
-the generator algebra.
+partial traces are explicit index sums, Hamiltonians are sums of generator
+Kronecker products (the library assembles exchange operators as index maps),
+and expected witness values for the reference four-mode system come from a
+swap-operator model built from elementary-matrix Kronecker chains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nuanneal.basis import generator_vector
+from nuanneal.basis import generator_vector, pmns_matrix
 from nuanneal.config import ExperimentConfig, resolve_config
+from nuanneal.hamiltonians import Statistics
 
 # ---------------------------------------------------------------------------
 # Reference configurations
@@ -112,22 +113,39 @@ def pair_embed_oracle(op_a, op_b, mode_a, mode_b, n_modes) -> np.ndarray:
     return kron_chain(ops)
 
 
-def dirac_oracle(spec, basis_is_mass: bool, u: np.ndarray | None = None) -> np.ndarray:
-    """Brute-force generator-sum construction of the all-neutrino Hamiltonian."""
+def generator_sum_oracle(spec, basis_is_mass: bool = False) -> np.ndarray:
+    """Generator-Kronecker construction of all three Hamiltonians.
+
+    One-body terms are B_p . lambda embedded by Kronecker chains (PMNS-rotated
+    in the flavor basis).  Every p < q pair adds k_pq times the generator
+    sum: sum_a lambda_a (x) lambda_a for like-species Dirac pairs,
+    -2 sum_a lambda_a* (x) lambda_a for neutrino-antineutrino pairs and
+    2 sum_a Im lambda_a (x) Im lambda_a for Majorana pairs.  The generator
+    sum is formed before it is scaled, as the library once did, so the
+    exchange builders can be checked bit for bit where they promise it.
+    """
     gens = generator_vector(spec.nf)
-    dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
+    u = pmns_matrix(spec.pmns, spec.nf)
+    n = spec.n_modes
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
     if not spec.interaction_only:
-        for p in range(spec.n_modes):
-            local = sum(spec.b_vector[p][a] * gens[a] for a in range(len(gens)))
+        for p in range(n):
+            local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
             if not basis_is_mass:
                 local = u @ local @ u.conj().T
-            h += embed_oracle(local, p, spec.n_modes)
-    for p in range(spec.n_modes):
-        for q in range(p + 1, spec.n_modes):
-            coupling = spec.coupling_k * (1.0 - np.cos(spec.angles[p, q]))
-            for a in range(len(gens)):
-                h += coupling * pair_embed_oracle(gens[a], gens[a], p, q, spec.n_modes)
+            h += embed_oracle(local, p, n)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if spec.statistics is Statistics.MAJORANA:
+                left, right, scale = gens.imag.astype(complex), gens.imag.astype(complex), 2.0
+            elif spec.species[p] is spec.species[q]:
+                left, right, scale = gens, gens, 1.0
+            else:
+                left, right, scale = gens.conj(), gens, -2.0
+            pair = np.zeros_like(h)
+            for a, b in zip(left, right):
+                pair += pair_embed_oracle(a, b, p, q, n)
+            h += scale * (spec.pair_coupling(p, q) * pair)
     return h
 
 

@@ -231,6 +231,15 @@ class TestRunAqaeBlocked:
         with pytest.raises(ValueError):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
 
+    def test_rejects_one_body_vector_off_the_diagonal_generators(self):
+        # A lambda_1 component couples occupation blocks; every block used to
+        # pass the absolute off-block check and the witnesses came out wrong.
+        b = np.zeros(8)
+        b[0], b[2] = 1e-12, -1.8e-12
+        cfg = reference_config(4, 3, initial=("e", "e", "tau", "mu"), system_extra={"b_vector": b.tolist()})
+        with pytest.raises(ValueError, match="off-block coupling"):
+            run_aqae_blocked(cfg.spec, cfg.initial, None, [1e12], CFG)
+
     def test_block_size_cap_enforced(self):
         cfg = reference_config(2, 3, initial=("e", "mu"))
         acfg = AqaeConfig(k_bits=1, max_zoom=4, reads=8, sweeps=16, seed=1, block_size_cap=1)

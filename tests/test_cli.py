@@ -188,6 +188,16 @@ class TestQuboAnnealRoundTrip:
         assert f"invalid QUBO file {path}: line {line}: " in err
         assert "Traceback" not in err
 
+    def test_qubo_file_without_variables_exits_2(self, tmp_path, capsys):
+        # Fixing every variable leaves a valid, empty problem that the text
+        # format round-trips, but there is nothing to anneal.
+        path = tmp_path / "empty.qubo"
+        path.write_text("# exported\nqubo 0 0.0\n")
+        assert main(["anneal", "--qubo", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid QUBO file {path}: its header declares no variables" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value",
         [("time", "two"), ("steps", "two"), ("k_bits", "two"), ("zoom", "two"), ("zoom", "1.5")],
@@ -273,6 +283,26 @@ class TestBenchCommand:
         # same zoom budget with real sweeps converges.
         assert values[0] > 0.05
         assert values[64] < values[0] / 10.0
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("values: [64]\n  zooms: [0, five]", "bench.zooms[1]: expected a finite int >= 0, got 'five'"),
+            ("values: [64]\n  zooms: [0, 1.5]", "bench.zooms[1]: expected a finite int >= 0, got 1.5"),
+            ("values: [64]\n  zooms: [-1]", "bench.zooms[0]: expected a finite int >= 0, got -1"),
+            ("values: [64, 1.5]", "bench.values[1]: expected a finite int >= 0, got 1.5"),
+            ("values: [lots]", "bench.values[0]: expected a finite int >= 0, got 'lots'"),
+            ("axis: reads\n  values: [0]", "bench.values[0]: expected a finite int >= 1, got 0"),
+        ],
+        ids=["zoom-word", "zoom-fraction", "zoom-negative", "value-fraction", "value-word", "reads-zero"],
+    )
+    def test_bad_list_entry_is_a_config_error(self, small_cfg, capsys, entries, message):
+        axis = "" if "axis" in entries else "  axis: sweeps\n"
+        small_cfg.write_text(small_cfg.read_text() + f"bench:\n  time: 1.0e12\n{axis}  {entries}\n")
+        assert main(["bench", "--config", str(small_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_requires_two_modes(self, reference_cfg, tmp_path, capsys):
         cfg_text = reference_cfg.read_text() + "bench:\n  time: 1.0e12\n  values: [1]\n"

@@ -3,9 +3,10 @@ import pytest
 from helpers import reference_config
 from scipy.integrate import solve_ivp
 
+import nuanneal.evolution as evolution_mod
 from nuanneal.basis import BasisTag, StateVector, change_basis, mass_blocks
 from nuanneal.evolution import Evolver, evolve_series, propagator
-from nuanneal.hamiltonians import build_dirac_hamiltonian, restrict_to_block
+from nuanneal.hamiltonians import build_dirac_hamiltonian, build_hamiltonian, restrict_to_block
 from nuanneal.witnesses import compute_witnesses
 
 
@@ -129,3 +130,65 @@ class TestEvolveSeries:
         psi = StateVector(np.eye(9)[0], BasisTag.MASS, 3, 2)
         with pytest.raises(ValueError):
             evolve_series(cfg.spec, psi, [1e12])
+
+
+def _evolver_sizes(monkeypatch) -> list[int]:
+    """Record the dimension of every Evolver that evolve_series builds."""
+    sizes = []
+
+    class Recording(Evolver):
+        def __init__(self, h):
+            super().__init__(h)
+            sizes.append(self.matrix.shape[0])
+
+    monkeypatch.setattr(evolution_mod, "Evolver", Recording)
+    return sizes
+
+
+def _fidelity_deficit(a: np.ndarray, b: np.ndarray) -> float:
+    return 1.0 - abs(np.vdot(a, b))
+
+
+class TestBlockwiseSeries:
+    TIMES = [0.0, 1.1e12, 4.4e12, 9.9e12]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_flavor_initial_state_matches_dense_evolution(self, monkeypatch, rng, n):
+        labels = [str(x) for x in rng.choice(["e", "mu", "tau"], n)]
+        cfg = reference_config(n, 3, initial=labels, times=self.TIMES)
+        dense = Evolver(build_hamiltonian(cfg.spec, BasisTag.FLAVOR))
+        sizes = _evolver_sizes(monkeypatch)
+        states = evolve_series(cfg.spec, cfg.initial, self.TIMES)
+        assert sizes and max(sizes) < cfg.spec.dim
+        for t, state in zip(self.TIMES, states):
+            assert state.basis is BasisTag.FLAVOR
+            want = dense.evolve(cfg.initial.amplitudes, t)
+            assert _fidelity_deficit(want, state.amplitudes) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mass_initial_state_matches_dense_evolution(self, monkeypatch, rng, n):
+        cfg = reference_config(n, 3)
+        amp = rng.normal(size=cfg.spec.dim) + 1j * rng.normal(size=cfg.spec.dim)
+        initial = StateVector(amp / np.linalg.norm(amp), BasisTag.MASS, 3, n)
+        dense = Evolver(build_hamiltonian(cfg.spec, BasisTag.MASS))
+        sizes = _evolver_sizes(monkeypatch)
+        states = evolve_series(cfg.spec, initial, self.TIMES)
+        # A generic state carries amplitude in every block.
+        assert len(sizes) == len(mass_blocks(3, n)) and max(sizes) < cfg.spec.dim
+        for t, state in zip(self.TIMES, states):
+            assert state.basis is BasisTag.MASS
+            assert _fidelity_deficit(dense.evolve(initial.amplitudes, t), state.amplitudes) <= 1e-12
+
+    def test_one_body_vector_off_the_diagonal_takes_the_dense_path(self, monkeypatch):
+        b = np.zeros(8)
+        b[0], b[2] = 1e-12, -1.8e-12
+        cfg = reference_config(
+            4, 3, initial=("e", "e", "tau", "mu"), system_extra={"b_vector": b.tolist()}
+        )
+        dense = Evolver(build_hamiltonian(cfg.spec, BasisTag.FLAVOR))
+        sizes = _evolver_sizes(monkeypatch)
+        states = evolve_series(cfg.spec, cfg.initial, self.TIMES)
+        assert sizes == [cfg.spec.dim]
+        for t, state in zip(self.TIMES, states):
+            amp = dense.evolve(cfg.initial.amplitudes, t)
+            np.testing.assert_array_equal(state.amplitudes, amp / np.linalg.norm(amp))

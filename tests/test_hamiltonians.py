@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dirac_oracle, pair_embed_oracle, reference_config
+from helpers import generator_sum_oracle, pair_embed_oracle, reference_config
 
 from nuanneal.basis import GELL_MANN, BasisTag, mass_blocks, pmns_matrix
+from nuanneal.evolution import Evolver
 from nuanneal.hamiltonians import (
     HamiltonianMatrix,
     SystemSpec,
@@ -119,8 +120,7 @@ class TestDiracHamiltonian:
     def test_matches_kronecker_oracle(self, basis):
         cfg = reference_config(2, 3)
         spec = cfg.spec
-        u = pmns_matrix(spec.pmns, 3)
-        expected = dirac_oracle(spec, basis is BasisTag.MASS, u)
+        expected = generator_sum_oracle(spec, basis is BasisTag.MASS)
         got = build_dirac_hamiltonian(spec, basis)
         np.testing.assert_allclose(got.matrix, expected, atol=1e-18)
 
@@ -291,9 +291,106 @@ class TestRestrictToBlock:
         with pytest.raises(ValueError):
             restrict_to_block(h, mass_blocks(3, 2)[0])
 
+    def test_flavor_basis_matrix_tagged_mass_is_rejected(self):
+        # Its off-block coupling is a sizeable fraction of max |H| ~ 3e-10,
+        # yet far below an absolute 1e-10.
+        h = build_dirac_hamiltonian(reference_config(4, 3).spec, BasisTag.FLAVOR)
+        tagged = HamiltonianMatrix(h.matrix, BasisTag.MASS)
+        assert np.max(np.abs(h.matrix)) < 1e-9
+        with pytest.raises(ValueError, match="off-block coupling"):
+            for block in mass_blocks(3, 4):
+                restrict_to_block(tagged, block)
+
+    def test_off_diagonal_one_body_vector_is_rejected(self):
+        b = np.zeros(8)
+        b[0], b[2] = 1e-12, -1.8e-12
+        spec = reference_config(4, 3, system_extra={"b_vector": b.tolist()}).spec
+        h = build_dirac_hamiltonian(spec, BasisTag.MASS)
+        with pytest.raises(ValueError, match="off-block coupling"):
+            for block in mass_blocks(3, 4):
+                restrict_to_block(h, block)
+
     def test_rejects_non_block_diagonal_matrix(self):
         dense = np.ones((4, 4), dtype=complex)
         h = HamiltonianMatrix(dense, BasisTag.MASS)
         block = next(b for b in mass_blocks(2, 2) if b.size == 1)
         with pytest.raises(ValueError):
             restrict_to_block(h, block)
+
+
+def _random_spec(rng, n: int, nf: int, **extra):
+    """Reference config with random angles, mixing and per-mode one-body vectors."""
+    angles = np.triu(rng.uniform(0, np.pi, size=(n, n)), 1)
+    system = {
+        "k_ev": float(rng.uniform(1e-13, 1e-11)),
+        "angles": (angles + angles.T).tolist(),
+        "theta12": float(rng.uniform(0, np.pi)),
+        "theta13": float(rng.uniform(0, np.pi)),
+        "theta23": float(rng.uniform(0, np.pi)),
+        "delta_cp": float(rng.uniform(0, 2 * np.pi)),
+        "b_vector": rng.normal(scale=1e-12, size=(n, 3 if nf == 2 else 8)).tolist(),
+        **extra,
+    }
+    return reference_config(n, nf, system_extra=system).spec
+
+
+class TestExchangeBuildersMatchGeneratorSums:
+    """Each exchange-operator builder equals the generator-Kronecker oracle."""
+
+    CASES = [(nf, n, seed) for nf in (2, 3) for n in (2, 3, 4) for seed in range(3)]
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nf, n, seed", CASES)
+    @pytest.mark.parametrize("basis", [BasisTag.MASS, BasisTag.FLAVOR])
+    def test_dirac(self, nf, n, seed, basis):
+        spec = _random_spec(np.random.default_rng([seed, nf, n]), n, nf)
+        got = build_dirac_hamiltonian(spec, basis).matrix
+        self._assert_close(got, generator_sum_oracle(spec, basis is BasisTag.MASS))
+
+    @pytest.mark.parametrize("nf, n, seed", CASES)
+    def test_mixed_species(self, nf, n, seed):
+        rng = np.random.default_rng([seed, nf, n, 1])
+        species = ["neutrino", "antineutrino"] + [
+            str(s) for s in rng.choice(["neutrino", "antineutrino"], n - 2)
+        ]
+        rng.shuffle(species)
+        spec = _random_spec(rng, n, nf, species=species)
+        self._assert_close(build_nu_antinu_hamiltonian(spec).matrix, generator_sum_oracle(spec))
+
+    @pytest.mark.parametrize("nf, n, seed", CASES)
+    def test_majorana(self, nf, n, seed):
+        spec = _random_spec(np.random.default_rng([seed, nf, n, 2]), n, nf, statistics="majorana")
+        self._assert_close(build_majorana_hamiltonian(spec).matrix, generator_sum_oracle(spec))
+
+    @pytest.mark.parametrize(
+        "n, nf, basis",
+        [(2, 2, BasisTag.MASS), (2, 2, BasisTag.FLAVOR), (2, 3, BasisTag.MASS),
+         (2, 3, BasisTag.FLAVOR), (4, 3, BasisTag.MASS)],
+    )
+    def test_bit_identical_where_outputs_are_pinned(self, n, nf, basis):
+        # The pinned qubo, anneal and aqae outputs are built from these
+        # Hamiltonians; any rounding change here would move them.
+        spec = reference_config(n, nf, system_extra={"xi": 0.9}).spec
+        got = build_dirac_hamiltonian(spec, basis).matrix
+        np.testing.assert_array_equal(got, generator_sum_oracle(spec, basis is BasisTag.MASS))
+
+
+class TestRelativeHermiticity:
+    # At its own scale (max |H| ~ 3e-10) the reference Hamiltonian passed an
+    # absolute 1e-10 check with this defect; rescaled to 1e-12 it also passed
+    # an absolute 1e-12 one.
+    @pytest.mark.parametrize("rescale_to", [None, 1e-12])
+    def test_anti_hermitian_part_at_twelve_percent_is_rejected(self, rng, rescale_to):
+        h = build_dirac_hamiltonian(reference_config(4, 3).spec, BasisTag.FLAVOR).matrix
+        if rescale_to is not None:
+            h = h * (rescale_to / np.max(np.abs(h)))
+        m = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        anti = m - m.conj().T
+        bad = h + anti * (0.12 * np.max(np.abs(h)) / np.max(np.abs(anti)))
+        with pytest.raises(ValueError, match="Hermiticity"):
+            HamiltonianMatrix(bad, BasisTag.FLAVOR)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Evolver(bad)
