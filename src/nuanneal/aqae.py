@@ -39,10 +39,9 @@ from .clock import (
 from .evolution import Evolver
 from .hamiltonians import (
     HamiltonianMatrix,
-    Species,
-    Statistics,
     SystemSpec,
     build_dirac_hamiltonian,
+    conserves_occupations,
     restrict_to_block,
 )
 from .witnesses import WitnessReport, compute_witnesses
@@ -385,12 +384,10 @@ def run_aqae_blocked(
     gives on that block alone.  ``dt`` selects the clock step size (``None``
     evolves each time in a single step).
     """
-    if spec.statistics is not Statistics.DIRAC or any(
-        s is not Species.NEUTRINO for s in spec.species
-    ):
+    if not conserves_occupations(spec):
         raise ValueError(
-            "blocked AQAE requires an all-neutrino Dirac system; "
-            "mixed or Majorana interactions are not occupation-block-diagonal"
+            "blocked AQAE requires an all-neutrino Dirac system with one-body vectors on the "
+            "diagonal generators; any other is not block-diagonal over mass-basis occupations"
         )
     if initial.basis is not BasisTag.FLAVOR:
         raise ValueError("blocked AQAE expects a flavor-basis initial state")

@@ -10,20 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import (
-    BasisTag,
-    StateVector,
-    apply_mode_unitary,
-    generator_vector,
-    mass_blocks,
-    pmns_matrix,
-)
+from .basis import BasisTag, StateVector, apply_mode_unitary, mass_blocks, pmns_matrix
 from .hamiltonians import (
     HamiltonianMatrix,
-    Species,
-    Statistics,
     SystemSpec,
     build_hamiltonian,
+    conserves_occupations,
     restrict_to_block,
 )
 
@@ -64,18 +56,14 @@ class Evolver:
 def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) -> list[StateVector]:
     """Exact states at the given times, in the basis of the initial state.
 
-    Mixed neutrino/antineutrino and Majorana systems (flavor basis only) take
-    one dense eigendecomposition, as does a system with a one-body vector off
-    the diagonal generators (lambda_3, lambda_8; sigma_3 for nf=2).  Any
-    other system conserves each mass-eigenstate occupation and evolves in the
-    mass basis, one eigendecomposition per occupation block with amplitude.
+    A system that :func:`conserves_occupations` evolves in the mass basis,
+    one eigendecomposition per occupation block with amplitude; any other
+    takes one dense eigendecomposition (mixed neutrino/antineutrino and
+    Majorana systems in the flavor basis only).
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
-    dirac = spec.statistics is Statistics.DIRAC and all(s is Species.NEUTRINO for s in spec.species)
-    gens = generator_vector(spec.nf)
-    off_diagonal = np.any(gens * (1 - np.eye(spec.nf)), axis=(1, 2))
-    if not dirac or (np.any(spec.b_vector[:, off_diagonal]) and not spec.interaction_only):
+    if not conserves_occupations(spec):
         evolver = Evolver(build_hamiltonian(spec, initial.basis))
         amps = [evolver.evolve(initial.amplitudes, t) for t in times]
         return [initial.with_amplitudes(amp / np.linalg.norm(amp)) for amp in amps]

@@ -249,10 +249,8 @@ def build_dirac_hamiltonian(spec: SystemSpec, basis: BasisTag) -> HamiltonianMat
     per-mode PMNS matrix in the flavor basis.  ``interaction_only`` drops the
     one-body term entirely.
     """
-    if spec.statistics is not Statistics.DIRAC:
-        raise ValueError("build_dirac_hamiltonian requires Dirac statistics")
-    if any(s is not Species.NEUTRINO for s in spec.species):
-        raise ValueError("build_dirac_hamiltonian requires all-neutrino species")
+    if spec.statistics is not Statistics.DIRAC or Species.ANTINEUTRINO in spec.species:
+        raise ValueError("build_dirac_hamiltonian requires an all-neutrino Dirac system")
     return _assemble(spec, basis, lambda p, q: (2.0, 0.0, -2.0 / spec.nf))
 
 
@@ -300,14 +298,23 @@ def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> Ha
     return build_dirac_hamiltonian(spec, basis)
 
 
+def conserves_occupations(spec: SystemSpec) -> bool:
+    """Whether H keeps every mass-eigenstate occupation, i.e. splits into
+    occupation blocks in the mass basis: an all-neutrino Dirac system whose
+    one-body vectors vanish off the diagonal generators (lambda_3, lambda_8;
+    sigma_3 for nf=2), or that has no one-body term."""
+    if spec.statistics is not Statistics.DIRAC or Species.ANTINEUTRINO in spec.species:
+        return False
+    diagonal = [2] if spec.nf == 2 else [2, 7]
+    return spec.interaction_only or not np.any(np.delete(spec.b_vector, diagonal, axis=1))
+
+
 def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> np.ndarray:
     """Dense sub-matrix of a mass-basis Hamiltonian on one occupation block.
 
-    Valid only for Hamiltonians whose two-body term conserves per-eigenstate
-    occupation (the all-neutrino Dirac case) and whose one-body term is
-    diagonal in the mass basis; an off-block coupling above
-    ``OFF_BLOCK_TOL`` times max |H| means the caller picked the wrong
-    Hamiltonian.
+    Valid only for a system for which :func:`conserves_occupations` holds;
+    an off-block coupling above ``OFF_BLOCK_TOL`` times max |H| means the
+    caller picked the wrong Hamiltonian.
     """
     if h.basis is not BasisTag.MASS:
         raise ValueError("block restriction requires a mass-basis Hamiltonian")

@@ -9,6 +9,8 @@ swap-operator model built from elementary-matrix Kronecker chains.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from nuanneal.basis import generator_vector, pmns_matrix
@@ -145,7 +147,8 @@ def generator_sum_oracle(spec, basis_is_mass: bool = False) -> np.ndarray:
             pair = np.zeros_like(h)
             for a, b in zip(left, right):
                 pair += pair_embed_oracle(a, b, p, q, n)
-            h += scale * (spec.pair_coupling(p, q) * pair)
+            coupling = spec.coupling_k * (1.0 - math.cos(spec.angles[p, q]))
+            h += scale * (coupling * pair)
     return h
 
 

@@ -237,7 +237,7 @@ class TestRunAqaeBlocked:
         b = np.zeros(8)
         b[0], b[2] = 1e-12, -1.8e-12
         cfg = reference_config(4, 3, initial=("e", "e", "tau", "mu"), system_extra={"b_vector": b.tolist()})
-        with pytest.raises(ValueError, match="off-block coupling"):
+        with pytest.raises(ValueError, match="diagonal generators"):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e12], CFG)
 
     def test_block_size_cap_enforced(self):

@@ -17,6 +17,7 @@ from nuanneal.hamiltonians import (
     build_hamiltonian,
     build_majorana_hamiltonian,
     build_nu_antinu_hamiltonian,
+    conserves_occupations,
     restrict_to_block,
 )
 
@@ -309,6 +310,39 @@ class TestRestrictToBlock:
         with pytest.raises(ValueError, match="off-block coupling"):
             for block in mass_blocks(3, 4):
                 restrict_to_block(h, block)
+
+    @pytest.mark.parametrize(
+        "nf, off_diagonal_b, extra",
+        [
+            (3, False, {}),
+            (2, False, {}),
+            (3, True, {}),
+            (2, True, {}),
+            (3, True, {"interaction_only": True}),
+        ],
+    )
+    def test_conserves_occupations_agrees_with_the_block_check(self, nf, off_diagonal_b, extra):
+        b = np.zeros(3 if nf == 2 else 8)
+        b[2] = -1.8e-12
+        if off_diagonal_b:
+            b[0] = 1e-12
+        spec = reference_config(4, nf, system_extra={"b_vector": b.tolist(), **extra}).spec
+        h = build_dirac_hamiltonian(spec, BasisTag.MASS)
+        if conserves_occupations(spec):
+            for block in mass_blocks(nf, 4):
+                restrict_to_block(h, block)
+        else:
+            with pytest.raises(ValueError, match="off-block coupling"):
+                for block in mass_blocks(nf, 4):
+                    restrict_to_block(h, block)
+        assert conserves_occupations(spec) is (extra.get("interaction_only", False) or not off_diagonal_b)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"species": ["neutrino", "antineutrino"]}, {"statistics": "majorana"}],
+    )
+    def test_mixed_and_majorana_systems_do_not_conserve_occupations(self, extra):
+        assert not conserves_occupations(reference_config(2, 3, system_extra=extra).spec)
 
     def test_rejects_non_block_diagonal_matrix(self):
         dense = np.ones((4, 4), dtype=complex)
