@@ -14,7 +14,6 @@ from .basis import (
     PmnsParams,
     StateVector,
     change_basis,
-    embed_single_mode,
     flavor_state,
     mass_blocks,
     pmns_matrix,

@@ -62,9 +62,6 @@ class AqaeConfig:
     rewind_enabled: bool = True
     max_rewinds: int = 3
     seed: int = 0
-    beta_start: float | None = None
-    beta_end: float | None = None
-    penalty_weight: float | None = None
     block_size_cap: int | None = None
 
     def __post_init__(self):
@@ -72,6 +69,12 @@ class AqaeConfig:
             raise ValueError("k_bits must be at least 1")
         if self.max_zoom < 1:
             raise ValueError("max_zoom must be at least 1")
+        if self.reads < 1:
+            raise ValueError("reads must be at least 1")
+        if self.sweeps < 0:
+            raise ValueError("sweeps must be non-negative")
+        if self.max_rewinds < 0:
+            raise ValueError("max_rewinds must be non-negative")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be at least 1")
         if self.convergence_pct <= 0:
@@ -198,7 +201,7 @@ def _aqae_run(
     together.
     """
     psi0 = np.asarray(initial, dtype=complex)
-    clock = build_clock(h, psi0, dt, steps, cfg.penalty_weight)
+    clock = build_clock(h, psi0, dt, steps)
     cemb = real_embed(clock)
     d, nreg = clock.register_dim, clock.n_steps + 1
     n_live = 2 * (clock.dim - d)
@@ -223,13 +226,7 @@ def _aqae_run(
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
             qubo, kept = clock_qubo(clock, cemb, params, estimate)
-            schedule = AnnealSchedule(
-                sweeps=cfg.sweeps,
-                reads=cfg.reads,
-                beta_start=cfg.beta_start,
-                beta_end=cfg.beta_end,
-                seed=_iteration_seed(cfg.seed, iteration),
-            )
+            schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_iteration_seed(cfg.seed, iteration))
             result = yield qubo, schedule
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
@@ -376,8 +373,8 @@ def run_aqae_blocked(
 ) -> BlockedAqaeResult:
     """Blocked AQAE over the mass-basis occupation decomposition.
 
-    For every sample time the flavor initial state is rotated to the mass
-    basis and split into occupation blocks; blocks with weight above
+    The flavor initial state is rotated to the mass basis and split into
+    occupation blocks; at every sample time the blocks with weight above
     ``ZERO_BLOCK_NORM`` are annealed independently, reassembled, and rotated
     back before the witnesses are computed.  The blocks of one sample time
     are annealed in lockstep; each block's result is the one :func:`run_aqae`
@@ -394,6 +391,20 @@ def run_aqae_blocked(
     h_mass = build_dirac_hamiltonian(spec, BasisTag.MASS)
     blocks = mass_blocks(spec.nf, spec.n_modes)
     psi_mass = change_basis(initial, BasisTag.MASS, spec.pmns)
+    # Block weights do not change in time: each live block is cut out of H
+    # (and checked) once for all sample times.
+    subs = [psi_mass.amplitudes[np.asarray(block.indices)] for block in blocks]
+    weights = [float(np.linalg.norm(sub)) for sub in subs]
+    h_blocks: dict[int, np.ndarray] = {}
+    for b_idx, block in enumerate(blocks):
+        if weights[b_idx] <= ZERO_BLOCK_NORM:
+            continue
+        if cfg.block_size_cap is not None and block.size > cfg.block_size_cap:
+            raise ValueError(
+                f"block {block.occupation} has {block.size} states, "
+                f"above the configured cap {cfg.block_size_cap}"
+            )
+        h_blocks[b_idx] = restrict_to_block(h_mass, block)
 
     reports: list[WitnessReport] = []
     block_reports: list[list[BlockRunReport]] = []
@@ -406,23 +417,11 @@ def run_aqae_blocked(
         else:
             steps = 1
         step_dt = t / steps if t > 0 else 0.0
-        per_block: list[BlockRunReport] = []
+        per_block = [BlockRunReport(b.occupation, b.size, w, True) for b, w in zip(blocks, weights)]
         runs: dict[int, Generator] = {}
-        for b_idx, block in enumerate(blocks):
-            sub = psi_mass.amplitudes[np.asarray(block.indices)]
-            weight = float(np.linalg.norm(sub))
-            per_block.append(BlockRunReport(block.occupation, block.size, weight, True))
-            if weight <= ZERO_BLOCK_NORM:
-                continue
-            if cfg.block_size_cap is not None and block.size > cfg.block_size_cap:
-                raise ValueError(
-                    f"block {block.occupation} has {block.size} states, "
-                    f"above the configured cap {cfg.block_size_cap}"
-                )
+        for b_idx, h_block in h_blocks.items():
             block_cfg = replace(cfg, seed=_block_seed(cfg.seed, t_idx, b_idx))
-            runs[b_idx] = _aqae_run(
-                restrict_to_block(h_mass, block), sub / weight, step_dt, block_cfg, steps, oracle
-            )
+            runs[b_idx] = _aqae_run(h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
         assembled = np.zeros(spec.dim, dtype=complex)
         for b_idx, res in _run_lockstep(runs, blocks, t).items():
             rep = per_block[b_idx]

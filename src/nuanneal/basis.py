@@ -152,15 +152,6 @@ def labels_to_index(digits: tuple[int, ...] | list[int], nf: int) -> int:
     return idx
 
 
-def index_to_labels(index: int, nf: int, n_modes: int) -> tuple[int, ...]:
-    """Inverse of :func:`labels_to_index`."""
-    digits = []
-    for _ in range(n_modes):
-        digits.append(index % nf)
-        index //= nf
-    return tuple(reversed(digits))
-
-
 def product_state(digits: list[int] | tuple[int, ...], nf: int, basis: BasisTag = BasisTag.FLAVOR) -> StateVector:
     """Computational product state |d_0 d_1 ... d_{N-1}>."""
     n_modes = len(digits)
@@ -180,22 +171,6 @@ def flavor_state(labels: list[str] | tuple[str, ...], nf: int) -> StateVector:
             f"valid labels: {sorted(table)}"
         ) from None
     return product_state(digits, nf, BasisTag.FLAVOR)
-
-
-def embed_single_mode(op: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
-    """Kronecker embedding of a single-mode operator, identity elsewhere.
-
-    Mode 0 is the leftmost tensor factor.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for n_modes={n_modes}")
-    nf = op.shape[0]
-    left = nf**mode
-    right = nf ** (n_modes - mode - 1)
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
 
 def apply_mode_unitary(amplitudes: np.ndarray, u: np.ndarray, nf: int, n_modes: int) -> np.ndarray:

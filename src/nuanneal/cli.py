@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -26,9 +25,9 @@ import numpy as np
 
 from .annealer import AnnealSchedule, anneal
 from .aqae import BlockedAqaeResult, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
-from .basis import BasisTag, StateVector, mass_blocks
+from .basis import mass_blocks
 from .clock import DigitizationParams, Direction, QuboProblem, build_clock, real_embed
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, load_state
 from .evolution import evolve_series
 from .hamiltonians import build_hamiltonian
 from .witnesses import WitnessReport, compute_witnesses
@@ -81,53 +80,27 @@ def cmd_evolve(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def cmd_witness(state_path: str, out: str | None) -> int:
-    data = json.loads(Path(state_path).read_text())
-    amp = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    state = StateVector(
-        amp,
-        BasisTag(data.get("basis", "flavor")),
-        int(data["nf"]),
-        int(data["n_modes"]),
-    )
-    report = compute_witnesses(state, float(data.get("time", 0.0)))
+    try:
+        state, time = load_state(state_path)
+    except ConfigError as exc:
+        print(f"invalid state file {state_path}: {exc}", file=sys.stderr)
+        return 2
+    report = compute_witnesses(state, time)
     header = [f"# state: {state_path}"]
     _write_text(out, _witness_csv([report], state.n_modes, header))
     return 0
 
 
-def _number(value, name: str, kind: type, minimum=-math.inf):
-    """Config field ``name`` as a finite ``kind`` of at least ``minimum``
-    (a fractional value is not an int); ``ConfigError`` naming it otherwise."""
-    try:
-        number = kind(value)
-        if math.isfinite(number) and number >= minimum and number == float(value):
-            return number
-    except (TypeError, ValueError):
-        pass
-    bound = f" >= {minimum}" if minimum > -math.inf else ""
-    raise ConfigError(f"{name}: expected a finite {kind.__name__}{bound}, got {value!r}")
-
-
 def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.initial is None:
         raise ConfigError("initial_state: required for qubo export")
-    section = cfg.qubo
-    if "time" not in section:
+    q = cfg.qubo
+    if q is None:
         raise ConfigError("qubo.time: required")
-    t = _number(section["time"], "qubo.time", float)
-    steps = _number(section.get("steps", 1), "qubo.steps", int, 1)
-    k_bits = _number(section.get("k_bits", cfg.aqae.k_bits), "qubo.k_bits", int, 1)
-    zoom = _number(section.get("zoom", 0), "qubo.zoom", int, 0)
-    try:
-        direction = Direction(str(section.get("direction", "forward")))
-    except ValueError:
-        raise ConfigError("qubo.direction: expected 'forward' or 'reverse'") from None
-    freeze = bool(section.get("freeze_initial", True))
-
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
-    clock = build_clock(h.matrix, cfg.initial.amplitudes, t / steps, steps)
-    params = DigitizationParams(k_bits, zoom, direction)
-    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock), freeze)
+    clock = build_clock(h.matrix, cfg.initial.amplitudes, q.time / q.steps, q.steps)
+    params = DigitizationParams(q.k_bits, q.zoom, q.direction)
+    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock), q.freeze_initial)
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)
     return 0
@@ -142,13 +115,11 @@ def cmd_anneal(args: argparse.Namespace) -> int:
     if problem.size == 0:
         print(f"invalid QUBO file {args.qubo}: its header declares no variables", file=sys.stderr)
         return 2
-    schedule = AnnealSchedule(
-        sweeps=args.sweeps,
-        reads=args.reads,
-        beta_start=args.beta_start,
-        beta_end=args.beta_end,
-        seed=args.seed,
-    )
+    try:
+        schedule = AnnealSchedule(args.sweeps, args.reads, args.beta_start, args.beta_end, args.seed)
+    except ValueError as exc:
+        print(f"invalid annealing flags: {exc}", file=sys.stderr)
+        return 2
     result = anneal(problem, schedule)
     payload = {
         "qubo": str(args.qubo),
@@ -203,35 +174,22 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
         raise ConfigError("bench: requires an n_modes = 2 system")
     if cfg.initial is None:
         raise ConfigError("initial_state: required for bench")
-    section = cfg.bench
-    if "time" not in section:
+    bench = cfg.bench
+    if bench is None:
         raise ConfigError("bench.time: required")
-    t = _number(section["time"], "bench.time", float)
-    axis = str(section.get("axis", "k_bits"))
-    if axis not in ("k_bits", "sweeps", "reads"):
-        raise ConfigError(f"bench.axis: expected k_bits, sweeps, or reads, got {axis!r}")
-    values = section.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("bench.values: expected a non-empty list")
-    least = 0 if axis == "sweeps" else 1
-    values = [_number(v, f"bench.values[{i}]", int, least) for i, v in enumerate(values)]
-    zooms = section.get("zooms", [cfg.aqae.max_zoom - 1])
-    if not isinstance(zooms, list) or not zooms:
-        raise ConfigError("bench.zooms: expected a non-empty list")
-    zooms = [_number(z, f"bench.zooms[{i}]", int, 0) for i, z in enumerate(zooms)]
 
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
     lines = _header_lines(cfg)
-    lines.append(f"zoom,{axis},infidelity")
-    for value in values:
-        run_cfg = replace(cfg.aqae, max_zoom=max(zooms) + 1, **{axis: value})
-        res = run_aqae(h.matrix, cfg.initial.amplitudes, t, run_cfg, oracle=True)
+    lines.append(f"zoom,{bench.axis},infidelity")
+    for value in bench.values:
+        run_cfg = replace(cfg.aqae, max_zoom=max(bench.zooms) + 1, **{bench.axis: value})
+        res = run_aqae(h.matrix, cfg.initial.amplitudes, bench.time, run_cfg, oracle=True)
         by_zoom = {
             entry["zoom"]: entry["overlap"]
             for entry in res.diagnostics
             if entry["direction"] == Direction.REVERSE.value
         }
-        for z in zooms:
+        for z in bench.zooms:
             infidelity = 1.0 - by_zoom[z]
             lines.append(f"{z},{value},{_fmt(infidelity)}")
     _write_text(out, "\n".join(lines) + "\n")

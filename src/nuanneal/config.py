@@ -6,20 +6,24 @@ statistics, b_vector_choice, interaction_only); omitted entries fall back to
 the reference parameter set below, so swapping the one-body coefficient
 vector or the statistics is a one-key change.
 
-Validation failures raise :class:`ConfigError` with the offending field path.
+This module alone turns input files into values: every number is read by
+:func:`_number` and every flag by :func:`_flag`, an unknown key is rejected,
+and a failure raises :class:`ConfigError` naming the field path.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .aqae import AqaeConfig
-from .basis import PmnsParams, StateVector, flavor_state
+from .basis import BasisTag, PmnsParams, StateVector, flavor_state
+from .clock import Direction
 from .hamiltonians import (
     B_VECTOR_CHOICES,
     Species,
@@ -48,33 +52,69 @@ DEFAULTS = {
 DEFAULT_XI = 0.9
 DEFAULT_PAIR_ANGLE = math.pi / 4.0
 
+SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "pair_angle", "angles", "species", "b_vector")
+AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "convergence_window", "max_rewinds", "block_size_cap")
+AQAE_KEYS = (*AQAE_INTS, "convergence_pct", "rewind_enabled", "dt")
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _get_number(section: dict, key: str, path: str, default=None) -> float:
-    value = section.get(key, default)
+def _number(value, name: str, kind: type = float, minimum=-math.inf):
+    """Field ``name`` as a finite ``kind`` of at least ``minimum``;
+    ``ConfigError`` naming it otherwise.  A numeric string counts (PyYAML
+    reads ``1.0e12`` as one); a bool and a fractional int do not."""
     if value is None:
-        raise ConfigError(f"{path}.{key}: required")
+        raise ConfigError(f"{name}: required")
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+        number = kind(value)
+        if number == float(value) and math.isfinite(number) and number >= minimum and not isinstance(value, bool):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = f" >= {minimum}" if minimum > -math.inf else ""
+    raise ConfigError(f"{name}: expected a finite {kind.__name__}{bound}, got {value!r}")
 
 
-def _get_int(section: dict, key: str, path: str, default=None) -> int:
-    value = section.get(key, default)
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
+def _choice(value, name: str, choices) -> str:
+    if value not in choices:
+        raise ConfigError(f"{name}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _array(value, name: str) -> np.ndarray:
+    """A number or a nested list of numbers, each read by :func:`_number`."""
+    if not isinstance(value, list):
+        return np.array(_number(value, name))
+    rows = [_array(x, f"{name}[{i}]") for i, x in enumerate(value)]
+    if len({row.shape for row in rows}) > 1:
+        raise ConfigError(f"{name}: expected rows of equal length")
+    return np.array(rows)
+
+
+def _mapping(value, name: str, keys) -> dict:
+    """``value`` as a mapping with no key outside ``keys``; null reads as ``{}``."""
     if value is None:
-        raise ConfigError(f"{path}.{key}: required")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a mapping")
+    for key in value:
+        if key not in keys:
+            where = f"{name}.{key}" if name != "top level" else str(key)
+            raise ConfigError(f"{where}: unknown key; expected one of {', '.join(keys)}")
     return value
 
 
 def _resolve_angles(system: dict, n_modes: int) -> np.ndarray:
     if "angles" in system:
-        angles = np.asarray(system["angles"], dtype=float)
+        angles = _array(system["angles"], "system.angles")
         if angles.shape != (n_modes, n_modes):
             raise ConfigError(
                 f"system.angles: expected an {n_modes}x{n_modes} matrix, got shape {angles.shape}"
@@ -83,10 +123,10 @@ def _resolve_angles(system: dict, n_modes: int) -> np.ndarray:
     if "pair_angle" in system:
         if n_modes != 2:
             raise ConfigError("system.pair_angle: only valid for n_modes = 2")
-        a = _get_number(system, "pair_angle", "system")
+        a = _number(system["pair_angle"], "system.pair_angle")
         return np.array([[0.0, a], [a, 0.0]])
     if "xi" in system or n_modes > 2:
-        xi = _get_number(system, "xi", "system", DEFAULT_XI)
+        xi = _number(system.get("xi", DEFAULT_XI), "system.xi")
         try:
             return anisotropic_angles(xi, n_modes)
         except ValueError as exc:
@@ -101,30 +141,22 @@ def _resolve_species(system: dict, n_modes: int) -> tuple[Species, ...]:
         return (Species.NEUTRINO,) * n_modes
     if not isinstance(raw, list) or len(raw) != n_modes:
         raise ConfigError(f"system.species: expected a list of {n_modes} entries")
-    out = []
-    for i, entry in enumerate(raw):
-        try:
-            out.append(Species(str(entry)))
-        except ValueError:
-            raise ConfigError(
-                f"system.species[{i}]: expected 'neutrino' or 'antineutrino', got {entry!r}"
-            ) from None
-    return tuple(out)
+    names = [s.value for s in Species]
+    return tuple(Species(_choice(x, f"system.species[{i}]", names)) for i, x in enumerate(raw))
 
 
 def build_system_spec(system: dict) -> SystemSpec:
     """Resolve the ``system`` section into a :class:`SystemSpec`."""
-    if not isinstance(system, dict):
-        raise ConfigError("system: expected a mapping")
-    n_modes = _get_int(system, "n_modes", "system")
-    nf = _get_int(system, "nf", "system")
+    system = _mapping(system, "system", SYSTEM_KEYS)
+    n_modes = _number(system.get("n_modes"), "system.n_modes", int, 1)
+    nf = _number(system.get("nf"), "system.nf", int)
     if nf not in (2, 3):
         raise ConfigError(f"system.nf: must be 2 or 3, got {nf}")
-    if n_modes < 1:
-        raise ConfigError("system.n_modes: must be positive")
 
-    energy = system.get("energy_ev", DEFAULTS["energy_ev"])
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    def number(key: str, minimum=-math.inf) -> float:
+        return _number(system.get(key, DEFAULTS[key]), f"system.{key}", float, minimum)
+
+    energies = np.atleast_1d(_array(system.get("energy_ev", DEFAULTS["energy_ev"]), "system.energy_ev"))
     if energies.shape == (1,):
         energies = np.repeat(energies, n_modes)
     if energies.shape != (n_modes,):
@@ -132,72 +164,60 @@ def build_system_spec(system: dict) -> SystemSpec:
     if np.any(energies <= 0):
         raise ConfigError("system.energy_ev: energies must be positive")
 
-    delta_m2 = _get_number(system, "delta_m2_ev2", "system", DEFAULTS["delta_m2_ev2"])
-    big_delta_m2 = _get_number(system, "big_delta_m2_ev2", "system", DEFAULTS["big_delta_m2_ev2"])
+    delta_m2 = number("delta_m2_ev2")
+    big_delta_m2 = number("big_delta_m2_ev2")
     pmns = PmnsParams(
-        theta12=_get_number(system, "theta12", "system", DEFAULTS["theta12"]),
-        theta13=_get_number(system, "theta13", "system", DEFAULTS["theta13"]),
-        theta23=_get_number(system, "theta23", "system", DEFAULTS["theta23"]),
-        delta_cp=_get_number(system, "delta_cp", "system", DEFAULTS["delta_cp"]),
+        theta12=number("theta12"),
+        theta13=number("theta13"),
+        theta23=number("theta23"),
+        delta_cp=number("delta_cp"),
     )
-    k_ev = _get_number(system, "k_ev", "system", DEFAULTS["k_ev"])
-    if k_ev < 0:
-        raise ConfigError("system.k_ev: must be non-negative")
+    k_ev = number("k_ev", 0.0)
 
-    statistics_raw = str(system.get("statistics", DEFAULTS["statistics"]))
-    try:
-        statistics = Statistics(statistics_raw)
-    except ValueError:
-        raise ConfigError(
-            f"system.statistics: expected 'dirac' or 'majorana', got {statistics_raw!r}"
-        ) from None
-
+    statistics = system.get("statistics", DEFAULTS["statistics"])
+    statistics = Statistics(_choice(statistics, "system.statistics", [s.value for s in Statistics]))
     if "b_vector" in system:
-        b_rows = np.asarray(system["b_vector"], dtype=float)
+        b_rows = _array(system["b_vector"], "system.b_vector")
     else:
-        choice = str(system.get("b_vector_choice", DEFAULTS["b_vector_choice"]))
-        if choice not in B_VECTOR_CHOICES:
-            raise ConfigError(
-                f"system.b_vector_choice: expected one of {B_VECTOR_CHOICES}, got {choice!r}"
-            )
+        choice = system.get("b_vector_choice", DEFAULTS["b_vector_choice"])
+        choice = _choice(choice, "system.b_vector_choice", B_VECTOR_CHOICES)
         b_rows = np.stack(
             [b_vector_preset(choice, nf, delta_m2, big_delta_m2, e) for e in energies]
         )
-
+    angles = _resolve_angles(system, n_modes)
+    species = _resolve_species(system, n_modes)
+    interaction_only = _flag(
+        system.get("interaction_only", DEFAULTS["interaction_only"]), "system.interaction_only"
+    )
     try:
         return SystemSpec(
             n_modes=n_modes,
             nf=nf,
             pmns=pmns,
             coupling_k=k_ev,
-            angles=_resolve_angles(system, n_modes),
+            angles=angles,
             b_vector=b_rows,
             energies=energies,
             delta_m2=delta_m2,
             big_delta_m2=big_delta_m2,
-            species=_resolve_species(system, n_modes),
+            species=species,
             statistics=statistics,
-            interaction_only=bool(system.get("interaction_only", DEFAULTS["interaction_only"])),
+            interaction_only=interaction_only,
         )
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
 
 
-def _resolve_times(raw, path: str = "times") -> list[float]:
+def _resolve_times(raw) -> list[float]:
     if isinstance(raw, dict):
-        start = _get_number(raw, "start", path)
-        stop = _get_number(raw, "stop", path)
-        count = _get_int(raw, "count", path)
-        if count < 1:
-            raise ConfigError(f"{path}.count: must be positive")
+        raw = _mapping(raw, "times", ("start", "stop", "count"))
+        start = _number(raw.get("start"), "times.start", float, 0.0)
+        stop = _number(raw.get("stop"), "times.stop", float, 0.0)
+        count = _number(raw.get("count"), "times.count", int, 1)
         return [float(t) for t in np.linspace(start, stop, count)]
-    if isinstance(raw, list):
-        times = [float(t) for t in raw]
-    else:
-        raise ConfigError(f"{path}: expected a list or a start/stop/count mapping")
-    if any(t < 0 for t in times):
-        raise ConfigError(f"{path}: sample times must be non-negative")
-    return times
+    if not isinstance(raw, list):
+        raise ConfigError("times: expected a list or a start/stop/count mapping")
+    return [_number(t, f"times[{i}]", float, 0.0) for i, t in enumerate(raw)]
 
 
 def _resolve_initial(raw, spec: SystemSpec) -> StateVector:
@@ -221,35 +241,76 @@ def _resolve_initial(raw, spec: SystemSpec) -> StateVector:
 
 def build_aqae_config(section: dict, seed: int) -> tuple[AqaeConfig, float | None]:
     """Resolve the ``aqae`` section; returns the config and the clock dt."""
-    section = section or {}
-    if not isinstance(section, dict):
-        raise ConfigError("aqae: expected a mapping")
+    section = _mapping(section, "aqae", AQAE_KEYS)
     dt = section.get("dt")
     if dt is not None:
-        dt = float(dt)
+        dt = _number(dt, "aqae.dt")
         if dt <= 0:
             raise ConfigError("aqae.dt: must be positive when set")
-    kwargs = {}
-    for key in (
-        "k_bits",
-        "max_zoom",
-        "reads",
-        "sweeps",
-        "convergence_window",
-        "max_rewinds",
-        "block_size_cap",
-    ):
-        if key in section:
-            kwargs[key] = _get_int(section, key, "aqae")
-    for key in ("convergence_pct", "beta_start", "beta_end", "penalty_weight"):
-        if key in section:
-            kwargs[key] = _get_number(section, key, "aqae")
+    kwargs = {key: _number(section[key], f"aqae.{key}", int) for key in AQAE_INTS if key in section}
+    if "convergence_pct" in section:
+        kwargs["convergence_pct"] = _number(section["convergence_pct"], "aqae.convergence_pct")
     if "rewind_enabled" in section:
-        kwargs["rewind_enabled"] = bool(section["rewind_enabled"])
+        kwargs["rewind_enabled"] = _flag(section["rewind_enabled"], "aqae.rewind_enabled")
     try:
         return AqaeConfig(seed=seed, **kwargs), dt
     except ValueError as exc:
         raise ConfigError(f"aqae: {exc}") from None
+
+
+@dataclass(frozen=True)
+class QuboConfig:
+    """The ``qubo`` section: one clock QUBO export by ``nuanneal qubo``."""
+
+    time: float
+    steps: int
+    k_bits: int
+    zoom: int
+    direction: Direction
+    freeze_initial: bool
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """The ``bench`` section: infidelity over ``zooms`` x the ``axis`` setting's ``values``."""
+
+    time: float
+    axis: str
+    values: tuple[int, ...]
+    zooms: tuple[int, ...]
+
+
+def _int_list(raw, name: str, minimum: int) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{name}: expected a non-empty list")
+    return tuple(_number(v, f"{name}[{i}]", int, minimum) for i, v in enumerate(raw))
+
+
+def _resolve_qubo(raw, aqae: AqaeConfig) -> QuboConfig | None:
+    section = _mapping(raw, "qubo", ("time", "steps", "k_bits", "zoom", "direction", "freeze_initial"))
+    if not section:
+        return None
+    direction = _choice(section.get("direction", "forward"), "qubo.direction", [d.value for d in Direction])
+    return QuboConfig(
+        time=_number(section.get("time"), "qubo.time"),
+        steps=_number(section.get("steps", 1), "qubo.steps", int, 1),
+        k_bits=_number(section.get("k_bits", aqae.k_bits), "qubo.k_bits", int, 1),
+        zoom=_number(section.get("zoom", 0), "qubo.zoom", int, 0),
+        direction=Direction(direction),
+        freeze_initial=_flag(section.get("freeze_initial", True), "qubo.freeze_initial"),
+    )
+
+
+def _resolve_bench(raw, aqae: AqaeConfig) -> BenchConfig | None:
+    section = _mapping(raw, "bench", ("time", "axis", "values", "zooms"))
+    if not section:
+        return None
+    time = _number(section.get("time"), "bench.time")
+    axis = _choice(section.get("axis", "k_bits"), "bench.axis", ("k_bits", "sweeps", "reads"))
+    least = 0 if axis == "sweeps" else 1
+    values = _int_list(section.get("values"), "bench.values", least)
+    zooms = _int_list(section.get("zooms", [aqae.max_zoom - 1]), "bench.zooms", 0)
+    return BenchConfig(time, axis, values, zooms)
 
 
 @dataclass
@@ -263,8 +324,8 @@ class ExperimentConfig:
     times: list[float]
     aqae: AqaeConfig
     aqae_dt: float | None
-    qubo: dict
-    bench: dict
+    qubo: QuboConfig | None
+    bench: BenchConfig | None
 
     def resolved(self) -> dict:
         """Fully resolved configuration (defaults applied) for provenance."""
@@ -286,34 +347,23 @@ class ExperimentConfig:
             "b_vector": spec.b_vector.tolist(),
             "interaction_only": spec.interaction_only,
         }
-        aqae = {
-            "k_bits": self.aqae.k_bits,
-            "max_zoom": self.aqae.max_zoom,
-            "reads": self.aqae.reads,
-            "sweeps": self.aqae.sweeps,
-            "convergence_window": self.aqae.convergence_window,
-            "convergence_pct": self.aqae.convergence_pct,
-            "rewind_enabled": self.aqae.rewind_enabled,
-            "max_rewinds": self.aqae.max_rewinds,
-            "block_size_cap": self.aqae.block_size_cap,
-            "dt": self.aqae_dt,
-        }
+        # Every AqaeConfig field but the seed (recorded once, at the top level).
+        aqae = {key: v for key, v in asdict(self.aqae).items() if key != "seed"} | {"dt": self.aqae_dt}
         out = {"seed": self.seed, "system": system, "times": self.times, "aqae": aqae}
         if "initial_state" in self.raw:
             out["initial_state"] = self.raw["initial_state"]
-        if self.qubo:
-            out["qubo"] = self.qubo
-        if self.bench:
-            out["bench"] = self.bench
+        # The qubo and bench sections are echoed as written.
+        for key in ("qubo", "bench"):
+            if self.raw.get(key):
+                out[key] = self.raw[key]
         return out
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
-    text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     return resolve_config(raw, seed_override)
 
@@ -321,21 +371,15 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
+    keys = ("seed", "system", "initial_state", "times", "aqae", "qubo", "bench")
+    _mapping(raw, "top level", keys)
     if "system" not in raw:
         raise ConfigError("system: required")
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
+    seed = _number(seed_override if seed_override is not None else raw.get("seed", 0), "seed", int, 0)
     spec = build_system_spec(raw["system"])
     initial = _resolve_initial(raw["initial_state"], spec) if "initial_state" in raw else None
     times = _resolve_times(raw["times"]) if "times" in raw else []
     aqae_cfg, aqae_dt = build_aqae_config(raw.get("aqae"), seed)
-    qubo = raw.get("qubo") or {}
-    bench = raw.get("bench") or {}
-    if not isinstance(qubo, dict):
-        raise ConfigError("qubo: expected a mapping")
-    if not isinstance(bench, dict):
-        raise ConfigError("bench: expected a mapping")
     return ExperimentConfig(
         raw=raw,
         seed=seed,
@@ -344,6 +388,29 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         times=times,
         aqae=aqae_cfg,
         aqae_dt=aqae_dt,
-        qubo=qubo,
-        bench=bench,
+        qubo=_resolve_qubo(raw.get("qubo"), aqae_cfg),
+        bench=_resolve_bench(raw.get("bench"), aqae_cfg),
     )
+
+
+def load_state(path: str | Path) -> tuple[StateVector, float]:
+    """Read a statevector JSON file: ``amplitudes`` as [re, im] pairs, ``nf``,
+    ``n_modes``, an optional ``basis`` (flavor) and ``time`` (0).  Returns the
+    state and its time; ``ConfigError`` names the field at fault."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("expected a JSON object")
+    nf = _number(data.get("nf"), "nf", int, 1)
+    n_modes = _number(data.get("n_modes"), "n_modes", int, 1)
+    pairs = _array(data.get("amplitudes"), "amplitudes")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConfigError("amplitudes: expected a list of [re, im] pairs")
+    basis = BasisTag(_choice(data.get("basis", "flavor"), "basis", [b.value for b in BasisTag]))
+    time = _number(data.get("time", 0.0), "time")
+    try:
+        return StateVector(pairs.view(complex)[:, 0], basis, nf, n_modes), time
+    except ValueError as exc:
+        raise ConfigError(f"amplitudes: {exc}") from None

@@ -95,6 +95,16 @@ REFERENCE_N34 = [
 # ---------------------------------------------------------------------------
 
 
+def index_to_labels(index: int, nf: int, n_modes: int) -> tuple[int, ...]:
+    """Per-mode digits of a big-endian product-basis index (the inverse of
+    ``labels_to_index``), decoded by repeated division."""
+    digits = []
+    for _ in range(n_modes):
+        digits.append(index % nf)
+        index //= nf
+    return tuple(reversed(digits))
+
+
 def kron_chain(ops) -> np.ndarray:
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:

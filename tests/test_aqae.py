@@ -79,6 +79,19 @@ class TestRewindHelpers:
         assert _iteration_seed(7, 3) == _iteration_seed(7, 3)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("reads", 0, "reads must be at least 1"),
+        ("sweeps", -1, "sweeps must be non-negative"),
+        ("max_rewinds", -1, "max_rewinds must be non-negative"),
+    ],
+)
+def test_config_rejects_out_of_range_budget(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        AqaeConfig(**{field: value})
+
+
 class TestRunAqae:
     def test_zero_hamiltonian_recovers_initial(self):
         psi0 = np.array([0.6, 0.8j], dtype=complex)
@@ -206,6 +219,20 @@ class TestRunAqaeBlocked:
         result = run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], acfg)
         sizes = sorted(rep.size for rep in result.block_reports[0])
         assert sizes == [1, 1, 1, 2, 2, 2]
+
+    def test_each_live_block_is_restricted_once_per_call(self, monkeypatch):
+        cut = []
+
+        def counting_restrict(h, block):
+            cut.append(block.occupation)
+            return restrict_to_block(h, block)
+
+        monkeypatch.setattr(aqae_mod, "restrict_to_block", counting_restrict)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=4, reads=8, sweeps=16, seed=1)
+        result = run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11, 2e11, 3e11], acfg)
+        live = [rep.occupation for rep in result.block_reports[0] if not rep.skipped]
+        assert sorted(cut) == sorted(live) and len(live) >= 2
 
     def test_zero_weight_blocks_skipped(self):
         # A mass-basis product state occupies exactly one block.

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from helpers import embed_oracle, reference_config
+from helpers import index_to_labels, reference_config
 
 from nuanneal.basis import (
-    GELL_MANN,
     BasisTag,
     PmnsParams,
     StateVector,
     change_basis,
-    embed_single_mode,
     flavor_state,
-    index_to_labels,
     labels_to_index,
     mass_blocks,
     pmns_matrix,
@@ -78,44 +75,6 @@ class TestPmnsMatrix:
     def test_rejects_unsupported_flavor_count(self, nf):
         with pytest.raises(ValueError):
             pmns_matrix(REF, nf)
-
-
-class TestEmbedSingleMode:
-    def test_identity_embeds_to_identity(self):
-        np.testing.assert_array_equal(embed_single_mode(np.eye(3), 1, 3), np.eye(27))
-
-    def test_lambda3_on_mode0(self):
-        got = embed_single_mode(GELL_MANN[2], 0, 2)
-        np.testing.assert_allclose(got, np.kron(GELL_MANN[2], np.eye(3)), atol=0)
-
-    def test_lambda8_on_mode1(self):
-        got = embed_single_mode(GELL_MANN[7], 1, 2)
-        np.testing.assert_allclose(got, np.kron(np.eye(3), GELL_MANN[7]), atol=0)
-
-    def test_matches_kron_oracle_everywhere(self, rng):
-        for _ in range(20):
-            nf = int(rng.integers(2, 4))
-            n = int(rng.integers(1, 5))
-            mode = int(rng.integers(0, n))
-            op = rng.normal(size=(nf, nf)) + 1j * rng.normal(size=(nf, nf))
-            np.testing.assert_allclose(
-                embed_single_mode(op, mode, n), embed_oracle(op, mode, n), atol=1e-15
-            )
-
-    def test_hermitian_input_gives_hermitian_output(self, rng):
-        for _ in range(20):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            herm = m + m.conj().T
-            out = embed_single_mode(herm, 1, 3)
-            assert np.max(np.abs(out - out.conj().T)) == 0.0
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            embed_single_mode(np.eye(2), 2, 2)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            embed_single_mode(np.ones((2, 3)), 0, 2)
 
 
 class TestStateVector:

@@ -137,6 +137,73 @@ class TestEvolveCommand:
         assert max(s1) > 1.2
 
 
+def config_text(**sections) -> str:
+    """A small valid evolve config with the given top-level sections
+    replaced (or added); each value is the YAML text after ``key:``."""
+    body = {
+        "system": "\n  n_modes: 2\n  nf: 2",
+        "initial_state": " [e, mu]",
+        "times": " [1.0e12]",
+        **sections,
+    }
+    return "".join(f"{key}:{text}\n" for key, text in body.items())
+
+
+SYSTEM = "\n  n_modes: 2\n  nf: 2\n  "
+QUBO = "\n  time: 1.0e12\n  "
+BENCH = "\n  time: 1.0e12\n  values: [1]\n  "
+
+BAD_CONFIGS = [
+    # Values that used to end in a traceback.
+    ("dt-word", {"aqae": "\n  dt: abc"}, "aqae.dt: expected a finite float, got 'abc'"),
+    ("times-word", {"times": " [1.0e12, abc]"}, "times[1]: expected a finite float >= 0.0, got 'abc'"),
+    ("theta12-nan", {"system": SYSTEM + "theta12: .nan"}, "system.theta12: expected a finite float, got nan"),
+    ("k_ev-inf", {"system": SYSTEM + "k_ev: .inf"}, "system.k_ev: expected a finite float >= 0.0, got inf"),
+    ("energy-word", {"system": SYSTEM + "energy_ev: abc"}, "system.energy_ev: expected a finite float, got 'abc'"),
+    ("b_vector-word", {"system": SYSTEM + "b_vector: [0, 0, x]"}, "system.b_vector[2]: expected a finite float"),
+    # Values that used to be accepted and change or skip the run.
+    (
+        "times-negative-start",
+        {"times": " {start: -1.0e12, stop: 1.0e12, count: 3}"},
+        "times.start: expected a finite float >= 0.0, got '-1.0e12'",
+    ),
+    ("theta12-bool", {"system": SYSTEM + "theta12: true"}, "system.theta12: expected a finite float, got True"),
+    (
+        "interaction_only-string",
+        {"system": SYSTEM + 'interaction_only: "false"'},
+        "system.interaction_only: expected true or false, got 'false'",
+    ),
+    ("rewind_enabled-string", {"aqae": '\n  rewind_enabled: "no"'}, "aqae.rewind_enabled: expected true or false"),
+    ("freeze_initial-string", {"qubo": QUBO + 'freeze_initial: "false"'}, "qubo.freeze_initial: expected true"),
+    ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
+    ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
+    ("max_rewinds-negative", {"aqae": "\n  max_rewinds: -1"}, "aqae: max_rewinds must be non-negative"),
+    # Unknown keys, including the dropped annealing knobs.
+    ("top-unknown", {"sed": " 1"}, "sed: unknown key"),
+    ("system-unknown", {"system": SYSTEM + "theta_12: 0.1"}, "system.theta_12: unknown key"),
+    ("times-unknown", {"times": " {start: 0.0, stop: 1.0, count: 2, step: 1}"}, "times.step: unknown key"),
+    ("aqae-unknown", {"aqae": "\n  max_zom: 5"}, "aqae.max_zom: unknown key"),
+    ("qubo-unknown", {"qubo": QUBO + "zom: 1"}, "qubo.zom: unknown key"),
+    ("bench-unknown", {"bench": BENCH + "zoom: [1]"}, "bench.zoom: unknown key"),
+    ("penalty_weight", {"aqae": "\n  penalty_weight: 0.1"}, "aqae.penalty_weight: unknown key"),
+    ("beta_start", {"aqae": "\n  beta_start: 0.1"}, "aqae.beta_start: unknown key"),
+    ("beta_end", {"aqae": "\n  beta_end: 4.0"}, "aqae.beta_end: unknown key"),
+]
+
+
+@pytest.mark.parametrize(
+    "sections, message", [case[1:] for case in BAD_CONFIGS], ids=[case[0] for case in BAD_CONFIGS]
+)
+def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, sections, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(config_text(**sections))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestBlocksCommand:
     def test_census(self, reference_cfg, tmp_path):
         out = tmp_path / "blocks.csv"
@@ -188,6 +255,24 @@ class TestQuboAnnealRoundTrip:
         assert f"invalid QUBO file {path}: line {line}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sweeps", "-1"], "sweeps must be non-negative"),
+            (["--reads", "0"], "reads must be at least 1"),
+            (["--beta-start", "1.0"], "set both beta_start and beta_end or neither"),
+            (["--beta-start", "2.0", "--beta-end", "1.0"], "betas must satisfy beta_end >= beta_start > 0"),
+        ],
+        ids=["sweeps-negative", "reads-zero", "beta-start-alone", "betas-reversed"],
+    )
+    def test_bad_schedule_flag_exits_2_naming_it(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "pair.qubo"
+        path.write_text("qubo 2 0.0\n0 1 -1.0\n")
+        assert main(["anneal", "--qubo", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid annealing flags: {message}" in err
+        assert "Traceback" not in err
+
     def test_qubo_file_without_variables_exits_2(self, tmp_path, capsys):
         # Fixing every variable leaves a valid, empty problem that the text
         # format round-trips, but there is nothing to anneal.
@@ -217,6 +302,39 @@ class TestQuboAnnealRoundTrip:
 
 
 class TestWitnessCommand:
+    GOOD_STATE = {"amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "nf": 2, "n_modes": 2}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("{not json", "invalid JSON: "),
+            ({"amplitudes": None}, "amplitudes: required"),
+            ({"nf": None}, "nf: required"),
+            ({"n_modes": None}, "n_modes: required"),
+            ({"basis": "spin"}, "basis: expected one of flavor, mass, got 'spin'"),
+            ({"amplitudes": [[1.0, 0.0]] * 3}, "amplitudes: amplitude vector has shape (3,)"),
+            ({"amplitudes": [[1.0, 0.0]] * 4}, "amplitudes: state norm "),
+            ({"amplitudes": [[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]}, "amplitudes: expected rows"),
+            ({"amplitudes": [[1.0, 0.0], [0.0, "x"], [0.0, 0.0], [0.0, 0.0]]}, "amplitudes[1][1]: expected"),
+            ({"time": "later"}, "time: expected a finite float, got 'later'"),
+        ],
+        ids=[
+            "malformed-json", "no-amplitudes", "no-nf", "no-n_modes", "unknown-basis",
+            "wrong-count", "unnormalised", "ragged", "amplitude-word", "time-word",
+        ],
+    )
+    def test_bad_state_file_exits_2_naming_file_and_field(self, tmp_path, capsys, change, message):
+        path = tmp_path / "state.json"
+        if isinstance(change, str):
+            path.write_text(change)
+        else:
+            state = {**self.GOOD_STATE, **change}
+            path.write_text(json.dumps({k: v for k, v in state.items() if v is not None}))
+        assert main(["witness", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid state file {path}: {message}" in err
+        assert "Traceback" not in err
+
     def test_product_state_has_zero_witnesses(self, tmp_path):
         state_path = tmp_path / "state.json"
         amp = np.zeros(9)

@@ -1,10 +1,16 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from nuanneal.config import ConfigError, load_config, resolve_config
+from nuanneal.clock import Direction
+from nuanneal.config import BenchConfig, ConfigError, QuboConfig, load_config, resolve_config
 from nuanneal.hamiltonians import Species, Statistics
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def minimal(**extra):
@@ -66,6 +72,43 @@ class TestResolveConfig:
         assert cfg.aqae_dt == 1e11
 
 
+    def test_numeric_strings_are_numbers(self):
+        # PyYAML reads 1.1e12 (no exponent sign) as a string.
+        raw = yaml.safe_load("system: {n_modes: '2', nf: 3, k_ev: 1.75e-12}\ntimes: [1.1e12, 0]\n")
+        cfg = resolve_config(raw)
+        assert cfg.times == [1.1e12, 0.0]
+        assert cfg.spec.n_modes == 2 and cfg.spec.coupling_k == 1.75e-12
+
+    def test_qubo_and_bench_sections_are_typed_with_aqae_defaults(self):
+        raw = minimal(
+            aqae={"k_bits": 2, "max_zoom": 9},
+            qubo={"time": "1.0e12"},
+            bench={"time": 2e12, "axis": "sweeps", "values": [0, "16"]},
+        )
+        cfg = resolve_config(raw)
+        assert cfg.qubo == QuboConfig(1e12, 1, 2, 0, Direction.FORWARD, True)
+        assert cfg.bench == BenchConfig(2e12, "sweeps", (0, 16), (8,))
+        # The header records both sections as written.
+        assert cfg.resolved()["qubo"] == {"time": "1.0e12"}
+        assert cfg.resolved()["bench"]["values"] == [0, "16"]
+
+    def test_absent_qubo_and_bench_sections(self):
+        cfg = resolve_config(minimal(qubo={}, bench=None))
+        assert cfg.qubo is None and cfg.bench is None
+        assert "qubo" not in cfg.resolved() and "bench" not in cfg.resolved()
+
+    def test_readme_configuration_reference_resolves(self):
+        # Unknown keys are rejected, so a key the README documents but the
+        # code does not read (or a misspelt one) fails here.
+        section = README.read_text().split("## Configuration reference", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        cfg = resolve_config(yaml.safe_load(block))
+        assert cfg.spec.n_modes == 4 and cfg.initial is not None
+        assert cfg.qubo is not None and cfg.bench is not None
+        documented = set(yaml.safe_load(block)["aqae"])
+        assert documented | {"dt"} == set(cfg.resolved()["aqae"])
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize(
         "raw,fragment",
@@ -90,6 +133,12 @@ class TestValidationErrors:
             ({"system": {"n_modes": 2, "nf": 2}, "aqae": {"max_zoom": 0}}, "aqae"),
             ({"system": {"n_modes": 2, "nf": 2}, "aqae": {"dt": -5.0}}, "aqae.dt"),
             ({"system": {"n_modes": 4, "nf": 2, "pair_angle": 0.3}}, "pair_angle"),
+            ({"system": {"n_modes": 2, "nf": 2, "angles": [[0, 1], [1]]}}, "system.angles: expected rows"),
+            ({"system": {"n_modes": 2, "nf": 2, "energy_ev": [1e7, "x"]}}, "system.energy_ev[1]"),
+            ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"steps": 2}}, "qubo.time: required"),
+            ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"time": 1, "direction": "up"}}, "qubo.direction"),
+            ({"system": {"n_modes": 2, "nf": 2}, "bench": {"time": 1, "axis": "zoom"}}, "bench.axis"),
+            ({"system": {"n_modes": 2, "nf": 2}, "bench": {"time": 1, "values": []}}, "bench.values"),
         ],
     )
     def test_field_context_in_message(self, raw, fragment):
@@ -117,4 +166,10 @@ class TestLoadConfig:
         path = tmp_path / "broken.yaml"
         path.write_text("system: [unclosed\n")
         with pytest.raises(ConfigError, match="YAML"):
+            load_config(path)
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"system:\n  n_modes: 2\n  nf: 2\n  statistics: \xff\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
