@@ -164,7 +164,7 @@ def anneal_many(
     spin_rows = spins.reshape(batch * n, reads)
     field_rows = fields.reshape(batch * n, reads)
     lin_rows = lin_pad.reshape(batch * n, 1)
-    quad_rows = quad_pad.reshape(batch * n, n, 1)
+    quad_rows = quad_pad.reshape(batch * n, n)
     for s0 in range(0, sweeps, chunk):
         s1 = min(s0 + chunk, sweeps)
         # Thresholds -ln(u)/beta; u = 0 gives an infinite one, always accepted.
@@ -180,18 +180,22 @@ def anneal_many(
                 thresholds[: s1 - s0, starts[:m] + p] = draws.transpose(1, 2, 0)
         for sweep in range(s0, s1):
             limits, steps = thresholds[sweep - s0], visits[sweep]
-            lin_at, quad_at = lin_rows[steps], quad_rows[steps]
+            lin_at, quad_at = lin_rows.take(steps, 0), quad_rows.take(steps, 0)
             for lo, hi in bounds:
                 rows = steps[lo:hi]
-                spin = spin_rows[rows]
-                delta_e = field_rows[rows]
+                spin = spin_rows.take(rows, 0)
+                delta_e = field_rows.take(rows, 0)
                 delta_e += lin_at[lo:hi]
                 delta_e *= spin
                 accept = delta_e < limits[lo:hi]
                 if np.count_nonzero(accept):
+                    # flip is -1, 0 or +1, so every product and difference
+                    # below is exact.
                     flip = spin * accept
-                    spin_rows[rows] = spin - 2.0 * flip
-                    fields[: hi - lo] += quad_at[lo:hi] * flip[:, None, :]
+                    spin -= flip
+                    spin -= flip
+                    spin_rows[rows] = spin
+                    fields[: hi - lo] += np.einsum("kj,kr->kjr", quad_at[lo:hi], flip)
 
     results: dict[int, AnnealResult] = {}
     for p, i in enumerate(rank):
