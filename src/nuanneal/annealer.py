@@ -14,12 +14,22 @@ an ulp of exp(-beta dE).
 zero-padded arrays; positions past the end of a smaller problem's sweep are
 never stepped, so padding changes nothing.
 
-Determinism contract: read r of a problem draws its initial state and then
-its uniforms, sweep after sweep in visit order, from ``default_rng(seed + r)``;
-the per-sweep visit orders come from the shared stream
-``default_rng(seed + reads)``.  Uniforms are drawn a few sweeps at a time into
-a buffer bounded by ``_THRESHOLD_BYTES``; the buffer size, the batch a
-problem is annealed in and its position there do not change any result, so
+Determinism contract: a problem of size m draws everything from one
+generator, ``default_rng(seed)`` of its schedule, in this order:
+
+1. the visit orders of every sweep, from one
+   ``permuted(tile(arange(m), (sweeps, 1)), axis=1)`` call (row s is the
+   order of sweep s);
+2. the initial bits, as one ``integers(0, 2, (m, reads))`` array (bit j of
+   read r at ``[j, r]``);
+3. the acceptance uniforms, with ``random``, in (sweep, visit, read) order:
+   the uniform of read r at the t-th visit of sweep s is element
+   ``(s * m + t) * reads + r`` of that sequence.
+
+Uniforms are drawn a few sweeps at a time, as ``(chunk, m, reads)`` blocks
+into a buffer bounded by ``_THRESHOLD_BYTES``; the flat sequence does not
+depend on the chunk size.  The buffer size, the batch a problem is annealed
+in and its position there do not change any result, so
 ``anneal_many(problems, schedules)[i]`` equals
 ``anneal(problems[i], schedules[i])`` bit for bit, and identical
 (problem, schedule) inputs give bit-identical results.
@@ -136,7 +146,7 @@ def anneal_many(
     fields = np.zeros((batch, n, reads))
     visits = np.empty((sweeps, int(starts[-1])), dtype=np.intp)
     neg_betas = np.empty((batch, sweeps))
-    streams: list[list[np.random.Generator]] = []
+    streams: list[np.random.Generator] = []
     for p, i in enumerate(rank):
         q, s, m = problems[i], schedules[i], sizes[p]
         lin_pad[p, :m] = q.lin
@@ -148,15 +158,13 @@ def anneal_many(
             neg_betas[p] = -np.geomspace(beta_start, beta_end, sweeps)
         else:
             neg_betas[p] = -beta_end
-        orders = np.random.default_rng(s.seed + reads).permuted(
-            np.tile(np.arange(m), (sweeps, 1)), axis=1
-        )
+        rng = np.random.default_rng(s.seed)
+        orders = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1)
         visits[:, starts[:m] + p] = p * n + orders
-        rngs = [np.random.default_rng(s.seed + r) for r in range(reads)]
-        bits = np.stack([rng.integers(0, 2, m).astype(float) for rng in rngs], axis=-1)
+        bits = rng.integers(0, 2, (m, reads)).astype(float)
         spins[p, :m] = 1.0 - 2.0 * bits
         fields[p, :m] = q.quad @ bits
-        streams.append(rngs)
+        streams.append(rng)
 
     chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * visits.shape[1] * reads)))
     thresholds = np.empty((chunk, visits.shape[1], reads))
@@ -169,15 +177,13 @@ def anneal_many(
         s1 = min(s0 + chunk, sweeps)
         # Thresholds -ln(u)/beta; u = 0 gives an infinite one, always accepted.
         with np.errstate(divide="ignore"):
-            for p, rngs in enumerate(streams):
+            for p, rng in enumerate(streams):
                 m = sizes[p]
-                draws = staging[: reads * (s1 - s0) * m].reshape(reads, -1)
-                for r, rng in enumerate(rngs):
-                    rng.random(out=draws[r])
-                draws = draws.reshape(reads, s1 - s0, m)
+                draws = staging[: (s1 - s0) * m * reads].reshape(s1 - s0, m, reads)
+                rng.random(out=draws)
                 np.log(draws, out=draws)
-                draws /= neg_betas[p, s0:s1, None]
-                thresholds[: s1 - s0, starts[:m] + p] = draws.transpose(1, 2, 0)
+                draws /= neg_betas[p, s0:s1, None, None]
+                thresholds[: s1 - s0, starts[:m] + p] = draws
         for sweep in range(s0, s1):
             limits, steps = thresholds[sweep - s0], visits[sweep]
             lin_at, quad_at = lin_rows.take(steps, 0), quad_rows.take(steps, 0)

@@ -267,3 +267,58 @@ BAD_QUBO_TEXTS = [
     ("lower-triangle", "qubo 2 0.0\n1 0 1.0\n", 2, "(1, 0) out of range"),
     ("duplicate", "qubo 2 0.0\n0 0 1.0\n0 0 -5.0\n", 3, "(0, 0) repeats"),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference annealer
+# ---------------------------------------------------------------------------
+
+
+def reference_anneal(q, schedule) -> tuple[np.ndarray, np.ndarray]:
+    """(all_read_energies, best_bits) of one read at a time, one visit at a time.
+
+    Draws from ``default_rng(schedule.seed)`` in the order the
+    ``nuanneal.annealer`` docstring fixes: one ``permuted`` call for every
+    sweep's visit order, one ``(size, reads)`` array of initial bits, then
+    the uniforms in (sweep, visit, read) order.  A flip of variable v is
+    accepted when ``(field[v] + lin[v]) * spin[v]`` is below ``-ln(u)/beta``;
+    local fields are plain running sums over Python floats.  The final
+    bitstrings are scored with the annealer's own matrix expression, whose
+    BLAS sums group terms differently from a running sum, so that energies
+    compare bit for bit.
+    """
+    from nuanneal.annealer import default_beta_range
+
+    m, sweeps, reads = q.size, schedule.sweeps, schedule.reads
+    rng = np.random.default_rng(schedule.seed)
+    orders = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1).tolist()
+    initial = rng.integers(0, 2, (m, reads)).T.tolist()
+    uniforms = rng.random((sweeps, m, reads))
+    if schedule.beta_start is None:
+        beta_start, beta_end = default_beta_range(q)
+    else:
+        beta_start, beta_end = schedule.beta_start, schedule.beta_end
+    betas = np.geomspace(beta_start, beta_end, sweeps) if sweeps > 1 else np.full(sweeps, beta_end)
+    with np.errstate(divide="ignore"):
+        thresholds = (np.log(uniforms) / -betas[:, None, None]).tolist()
+    lin, quad = q.lin.tolist(), q.quad.tolist()
+
+    finals = []
+    for r in range(reads):
+        spin = [1.0 - 2.0 * b for b in initial[r]]
+        field = []
+        for j in range(m):
+            total = 0.0
+            for k in range(m):
+                total += quad[j][k] * initial[r][k]
+            field.append(total)
+        for sweep in range(sweeps):
+            for t, v in enumerate(orders[sweep]):
+                if (field[v] + lin[v]) * spin[v] < thresholds[sweep][t][r]:
+                    for j in range(m):
+                        field[j] += quad[v][j] * spin[v]
+                    spin[v] = -spin[v]
+        finals.append([0.5 * (1.0 - s) for s in spin])
+    bits = np.array(finals).T.copy()
+    energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
+    return energies, bits[:, int(np.argmin(energies))].astype(np.int8)

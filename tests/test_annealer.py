@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import reference_anneal
 
 import nuanneal.annealer as annealer_mod
 from nuanneal.annealer import (
@@ -128,10 +129,13 @@ class TestAnneal:
         q = random_qubo(rng, 10)
         res = anneal(q, AnnealSchedule(sweeps=0, reads=50, seed=0))
         assert res.all_read_energies.shape == (50,)
-        # Must agree with directly evaluating each read's initial bitstring.
-        for r in range(5):
-            bits = np.random.default_rng(0 + r).integers(0, 2, 10)
-            assert abs(q.total_energy(bits) - res.all_read_energies[r]) < 1e-12
+        # Must agree with directly evaluating each read's initial bitstring:
+        # column r of the (size, reads) bits drawn after the (empty) visit orders.
+        stream = np.random.default_rng(0)
+        stream.permuted(np.tile(np.arange(10), (0, 1)), axis=1)
+        initial = stream.integers(0, 2, (10, 50))
+        for r in range(50):
+            assert abs(q.total_energy(initial[:, r]) - res.all_read_energies[r]) < 1e-12
         optimized = anneal(q, AnnealSchedule(sweeps=500, reads=50, seed=0))
         assert optimized.best_energy <= res.best_energy
 
@@ -183,6 +187,23 @@ class TestAnnealMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             anneal_many(problems, schedules)
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 2, 15])
+    def test_matches_scalar_reference(self, sweeps):
+        rng = np.random.default_rng(100 + sweeps)
+        for trial in range(12):
+            problems = [random_qubo(rng, int(rng.integers(1, 7))) for _ in range(int(rng.integers(1, 5)))]
+            reads = int(rng.integers(1, 5))
+            schedules = [
+                AnnealSchedule(sweeps, reads, seed=int(rng.integers(2**32)))
+                if (trial + k) % 2
+                else AnnealSchedule(sweeps, reads, 0.1 * (k + 1), 3.0, seed=int(rng.integers(2**32)))
+                for k in range(len(problems))
+            ]
+            for q, s, res in zip(problems, schedules, anneal_many(problems, schedules)):
+                energies, best_bits = reference_anneal(q, s)
+                assert np.array_equal(res.all_read_energies, energies)
+                assert np.array_equal(res.best_bits, best_bits)
 
     def test_rejects_bad_batches(self, rng):
         q = random_qubo(rng, 4)

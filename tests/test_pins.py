@@ -6,14 +6,23 @@ per-caller frozen-register code).  Any change to QUBO assembly, freezing,
 the text format, the annealer or the AQAE loop that alters a single byte of
 output fails here.  Regenerate them only with a change that says why the
 outputs move.
+
+One file has been regenerated since: ``two_mode_bench.anneal0.json``, by the
+commit that gave each annealing problem one random stream,
+``default_rng(seed)``, in place of one stream per read.  With zero sweeps
+the output scores the initial bitstrings, which come from that stream, so
+it had to move; the 200-sweep and AQAE pins did not.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from nuanneal.cli import main
+from nuanneal.clock import QuboProblem
 
 DATA = Path(__file__).parent / "data"
 BENCH_CONFIG = Path(__file__).parent.parent / "configs" / "two_mode_bench.yaml"
@@ -55,6 +64,19 @@ def test_anneal_of_export(tmp_path, monkeypatch, sweeps):
     assert main(args + ["--out", "anneal.json"]) == 0
     pin = DATA / f"two_mode_bench.anneal{sweeps}.json"
     assert Path("anneal.json").read_bytes() == pin.read_bytes()
+
+
+def test_zero_sweep_pin_scores_the_initial_bits_of_the_stream_contract():
+    # Initial bits: the (size, reads) array drawn after the (empty) visit orders.
+    q = QuboProblem.from_text((DATA / "two_mode_bench.qubo").read_text())
+    stream = np.random.default_rng(9)
+    stream.permuted(np.tile(np.arange(q.size), (0, 1)), axis=1)
+    initial = stream.integers(0, 2, (q.size, 40))
+    energies = np.array([q.total_energy(initial[:, r]) for r in range(40)])
+    pin = json.loads((DATA / "two_mode_bench.anneal0.json").read_text())
+    assert pin["best_bits"] == initial[:, int(np.argmin(energies))].tolist()
+    for key, value in (("min", energies.min()), ("median", np.median(energies)), ("max", energies.max())):
+        assert abs(pin[f"read_energy_{key}"] - value) < 1e-12
 
 
 def test_aqae_oracle_run(tmp_path):
