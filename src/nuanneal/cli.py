@@ -270,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input file: {exc.filename}", file=sys.stderr)
         return 2
+    except (IsADirectoryError, PermissionError) as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's construction paths:
 partial traces are explicit index sums, Hamiltonians are sums of generator
 Kronecker products (the library assembles exchange operators as index maps),
-and expected witness values for the reference four-mode system come from a
-swap-operator model built from elementary-matrix Kronecker chains.
+expected witness values for the reference four-mode system come from a
+swap-operator model built from elementary-matrix Kronecker chains, and the
+reference annealer steps one read and one visit at a time where the library
+steps padded batches in lockstep.
 """
 
 from __future__ import annotations

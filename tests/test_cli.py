@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,29 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(tmp_path / "nope.yaml")]) == 2
         assert "missing input file" in capsys.readouterr().err
         assert main(["anneal", "--qubo", str(tmp_path / "nope.qubo")]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "unreadable"])
+    @pytest.mark.parametrize("command, flag", [("evolve", "--config"), ("witness", "--state"), ("anneal", "--qubo")])
+    def test_unreadable_input_exits_2_naming_the_path(self, tmp_path, monkeypatch, capsys, command, flag, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("")
+            # Refuse the read as the OS would for a mode-000 file, which a
+            # superuser could still read.
+            read_text = Path.read_text
+
+            def refuse(self, *args, **kwargs):
+                if self == path:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+                return read_text(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "read_text", refuse)
+        assert main([command, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}" in err
+        assert "Traceback" not in err
 
     def test_free_streaming_system_has_zero_witnesses(self, tmp_path):
         cfg = tmp_path / "free.yaml"
