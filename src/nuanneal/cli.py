@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"missing input file: {exc.filename}", file=sys.stderr)
         return 2
     except (IsADirectoryError, PermissionError) as exc:
-        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

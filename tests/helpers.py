@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from nuanneal.annealer import default_beta_range
 from nuanneal.basis import generator_vector, pmns_matrix
 from nuanneal.config import ExperimentConfig, resolve_config
 from nuanneal.hamiltonians import Statistics
@@ -277,7 +278,7 @@ BAD_QUBO_TEXTS = [
 
 
 def reference_anneal(q, schedule) -> tuple[np.ndarray, np.ndarray]:
-    """(all_read_energies, best_bits) of one read at a time, one visit at a time.
+    """Anneal one read and one visit at a time; return (all_read_energies, best_bits).
 
     Draws from ``default_rng(schedule.seed)`` in the order the
     ``nuanneal.annealer`` docstring fixes: one ``permuted`` call for every
@@ -289,8 +290,6 @@ def reference_anneal(q, schedule) -> tuple[np.ndarray, np.ndarray]:
     BLAS sums group terms differently from a running sum, so that energies
     compare bit for bit.
     """
-    from nuanneal.annealer import default_beta_range
-
     m, sweeps, reads = q.size, schedule.sweeps, schedule.reads
     rng = np.random.default_rng(schedule.seed)
     orders = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1).tolist()

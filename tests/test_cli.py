@@ -131,7 +131,7 @@ class TestEvolveCommand:
             monkeypatch.setattr(Path, "read_text", refuse)
         assert main([command, flag, str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"cannot read {path}" in err
+        assert f"cannot open {path}" in err
         assert "Traceback" not in err
 
     def test_free_streaming_system_has_zero_witnesses(self, tmp_path):

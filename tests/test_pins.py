@@ -7,8 +7,8 @@ the text format, the annealer or the AQAE loop that alters a single byte of
 output fails here.  Regenerate them only with a change that says why the
 outputs move.
 
-One file has been regenerated since: ``two_mode_bench.anneal0.json``, by the
-commit that gave each annealing problem one random stream,
+One file has been regenerated since: ``two_mode_bench.anneal0.json``, at
+commit f3399a0, which gave each annealing problem one random stream,
 ``default_rng(seed)``, in place of one stream per read.  With zero sweeps
 the output scores the initial bitstrings, which come from that stream, so
 it had to move; the 200-sweep and AQAE pins did not.
