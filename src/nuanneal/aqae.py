@@ -8,7 +8,7 @@ of the QUBO as constants, so the first register can never drift off the
 embedded initial state and the estimate's global phase stays pinned.
 
 Nonconvergence handling: a plateau of the clock energy (all adjacent-pair
-percentage differences below the configured threshold across the window)
+percentage differences below CONVERGENCE_PCT across CONVERGENCE_WINDOW steps)
 while the energy is still far above the digitization floor marks a stalled
 run; the estimate is rewound to the latest checkpoint whose energy step was
 non-increasing and the loop resumes from there with fresh annealer seeds.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Generator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,18 +51,14 @@ ZERO_BLOCK_NORM = 1e-12
 
 @dataclass(frozen=True)
 class AqaeConfig:
-    """Digitization depth, annealer budget, and convergence policy."""
+    """Digitization depth, annealer budget, and rewind budget (0: no rewinds)."""
 
     k_bits: int = 1
     max_zoom: int = 20
     reads: int = 64
     sweeps: int = 128
-    convergence_window: int = 8
-    convergence_pct: float = 1.0
-    rewind_enabled: bool = True
     max_rewinds: int = 3
     seed: int = 0
-    block_size_cap: int | None = None
 
     def __post_init__(self):
         if self.k_bits < 1:
@@ -75,29 +71,26 @@ class AqaeConfig:
             raise ValueError("sweeps must be non-negative")
         if self.max_rewinds < 0:
             raise ValueError("max_rewinds must be non-negative")
-        if self.convergence_window < 1:
-            raise ValueError("convergence_window must be at least 1")
-        if self.convergence_pct <= 0:
-            raise ValueError("convergence_pct must be positive")
-        if self.block_size_cap is not None and self.block_size_cap < 1:
-            raise ValueError("block_size_cap must be positive when set")
 
 
-def converged(history: list[float], cfg: AqaeConfig) -> bool:
+CONVERGENCE_WINDOW = 8
+CONVERGENCE_PCT = 1.0
+
+
+def converged(history: list[float]) -> bool:
     """Plateau detector over the clock-energy history.
 
-    True iff the last ``convergence_window`` adjacent-pair percentage
-    differences all fall below ``convergence_pct``.
+    True iff the last ``CONVERGENCE_WINDOW`` adjacent-pair percentage
+    differences all fall below ``CONVERGENCE_PCT``.
     """
-    w = cfg.convergence_window
-    if len(history) < w + 1:
+    if len(history) < CONVERGENCE_WINDOW + 1:
         return False
-    tail = history[-(w + 1) :]
+    tail = history[-(CONVERGENCE_WINDOW + 1) :]
     for a, b in zip(tail, tail[1:]):
         denom = max(abs(a), abs(b))
         if denom < 1e-300:
             continue
-        if 100.0 * abs(b - a) / denom >= cfg.convergence_pct:
+        if 100.0 * abs(b - a) / denom >= CONVERGENCE_PCT:
             return False
     return True
 
@@ -243,12 +236,7 @@ def _aqae_run(
             diagnostics.append(entry)
             iteration += 1
         checkpoints.append(_Checkpoint(z, estimate.copy(), history[-1], len(history)))
-        stalled = (
-            cfg.rewind_enabled
-            and rewinds < cfg.max_rewinds
-            and converged(history, cfg)
-            and history[-1] > floor_at(z)
-        )
+        stalled = rewinds < cfg.max_rewinds and converged(history) and history[-1] > floor_at(z)
         if stalled:
             keep = _latest_non_increasing(checkpoints)
             cp = checkpoints[keep]
@@ -319,7 +307,6 @@ class BlockedAqaeResult:
 
     reports: list[WitnessReport]
     block_reports: list[list[BlockRunReport]]
-    states: list[StateVector] = field(default_factory=list)
 
 
 def _block_seed(base_seed: int, time_index: int, block_index: int) -> int:
@@ -397,18 +384,11 @@ def run_aqae_blocked(
     weights = [float(np.linalg.norm(sub)) for sub in subs]
     h_blocks: dict[int, np.ndarray] = {}
     for b_idx, block in enumerate(blocks):
-        if weights[b_idx] <= ZERO_BLOCK_NORM:
-            continue
-        if cfg.block_size_cap is not None and block.size > cfg.block_size_cap:
-            raise ValueError(
-                f"block {block.occupation} has {block.size} states, "
-                f"above the configured cap {cfg.block_size_cap}"
-            )
-        h_blocks[b_idx] = restrict_to_block(h_mass, block)
+        if weights[b_idx] > ZERO_BLOCK_NORM:
+            h_blocks[b_idx] = restrict_to_block(h_mass, block)
 
     reports: list[WitnessReport] = []
     block_reports: list[list[BlockRunReport]] = []
-    states: list[StateVector] = []
     for t_idx, t in enumerate(times):
         if t < 0:
             raise ValueError("sample times must be non-negative")
@@ -443,5 +423,4 @@ def run_aqae_blocked(
         flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)
         reports.append(compute_witnesses(flavor_state, time=t))
         block_reports.append(per_block)
-        states.append(flavor_state)
-    return BlockedAqaeResult(reports, block_reports, states)
+    return BlockedAqaeResult(reports, block_reports)

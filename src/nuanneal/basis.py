@@ -194,8 +194,7 @@ def change_basis(state: StateVector, to: BasisTag, params: PmnsParams) -> StateV
     if to == BasisTag.MASS:
         u = u.conj().T
     amp = apply_mode_unitary(state.amplitudes, u, state.nf, state.n_modes)
-    # Unitary application preserves the norm; renormalize away rounding drift.
-    amp = amp / np.linalg.norm(amp)
+    # No renormalisation: StateVector rejects a norm that drifted past 1e-12.
     return StateVector(amp, to, state.nf, state.n_modes)
 
 

@@ -267,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing input file: {exc.filename}", file=sys.stderr)
-        return 2
-    except (IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

@@ -48,8 +48,6 @@ class ClockMatrix:
     """Hermitian clock operator over T+1 registers of dimension D."""
 
     matrix: np.ndarray
-    dt: float
-    penalty_weight: float
     n_steps: int
     register_dim: int
     initial: np.ndarray
@@ -111,7 +109,7 @@ def build_clock(
     if penalty_weight is None:
         penalty_weight = 2.0 * float(np.linalg.norm(c, 2))
     c[:d, :d] += penalty_weight * (eye - np.outer(psi0, psi0.conj()))
-    return ClockMatrix(c, dt, penalty_weight, steps, d, psi0)
+    return ClockMatrix(c, steps, d, psi0)
 
 
 def real_embed(c: ClockMatrix | np.ndarray) -> np.ndarray:

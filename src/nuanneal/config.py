@@ -53,8 +53,8 @@ DEFAULT_XI = 0.9
 DEFAULT_PAIR_ANGLE = math.pi / 4.0
 
 SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "pair_angle", "angles", "species", "b_vector")
-AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "convergence_window", "max_rewinds", "block_size_cap")
-AQAE_KEYS = (*AQAE_INTS, "convergence_pct", "rewind_enabled", "dt")
+AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "max_rewinds")
+AQAE_KEYS = (*AQAE_INTS, "dt")
 
 
 class ConfigError(ValueError):
@@ -248,10 +248,6 @@ def build_aqae_config(section: dict, seed: int) -> tuple[AqaeConfig, float | Non
         if dt <= 0:
             raise ConfigError("aqae.dt: must be positive when set")
     kwargs = {key: _number(section[key], f"aqae.{key}", int) for key in AQAE_INTS if key in section}
-    if "convergence_pct" in section:
-        kwargs["convergence_pct"] = _number(section["convergence_pct"], "aqae.convergence_pct")
-    if "rewind_enabled" in section:
-        kwargs["rewind_enabled"] = _flag(section["rewind_enabled"], "aqae.rewind_enabled")
     try:
         return AqaeConfig(seed=seed, **kwargs), dt
     except ValueError as exc:

@@ -9,6 +9,7 @@ from helpers import reference_config
 import nuanneal.aqae as aqae_mod
 from nuanneal.annealer import AnnealResult
 from nuanneal.aqae import (
+    CONVERGENCE_WINDOW,
     AqaeConfig,
     _block_seed,
     _Checkpoint,
@@ -29,29 +30,24 @@ CFG = AqaeConfig(k_bits=1, max_zoom=12, reads=32, sweeps=64, seed=5)
 
 class TestConverged:
     def test_constant_history_converges(self):
-        cfg = AqaeConfig()
-        assert converged([1.0] * 9, cfg)
-        assert converged([0.0] * 9, cfg)
+        assert converged([1.0] * 9)
+        assert converged([0.0] * 9)
 
     def test_halving_history_does_not(self):
-        cfg = AqaeConfig()
         history = [2.0 ** (-k) for k in range(12)]
-        assert not converged(history, cfg)
+        assert not converged(history)
 
     def test_requires_full_window(self):
-        cfg = AqaeConfig(convergence_window=8)
-        assert not converged([1.0] * 8, cfg)
-        assert converged([1.0] * 9, cfg)
+        assert not converged([1.0] * CONVERGENCE_WINDOW)
+        assert converged([1.0] * (CONVERGENCE_WINDOW + 1))
 
     def test_single_large_step_in_window_blocks_convergence(self):
-        cfg = AqaeConfig()
         history = [1.0] * 5 + [1.5] + [1.5] * 4
-        assert not converged(history, cfg)
+        assert not converged(history)
 
     def test_only_recent_window_counts(self):
-        cfg = AqaeConfig()
         history = [100.0, 1.0] + [1.0] * 8
-        assert converged(history, cfg)
+        assert converged(history)
 
 
 class TestRewindHelpers:
@@ -171,9 +167,7 @@ class TestRunAqae:
         monkeypatch.setattr(aqae_mod, "anneal", self._stuck_anneal())
         h = np.array([[0.3, 0.1], [0.1, -0.2]], dtype=complex)
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        cfg = AqaeConfig(
-            k_bits=1, max_zoom=10, reads=4, sweeps=8, seed=0, rewind_enabled=False
-        )
+        cfg = AqaeConfig(k_bits=1, max_zoom=10, reads=4, sweeps=8, seed=0, max_rewinds=0)
         res = run_aqae(h, psi0, dt=1.0, cfg=cfg)
         assert res.rewinds == 0
         assert len(res.energy_history) == 20
@@ -266,12 +260,6 @@ class TestRunAqaeBlocked:
         cfg = reference_config(4, 3, initial=("e", "e", "tau", "mu"), system_extra={"b_vector": b.tolist()})
         with pytest.raises(ValueError, match="diagonal generators"):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e12], CFG)
-
-    def test_block_size_cap_enforced(self):
-        cfg = reference_config(2, 3, initial=("e", "mu"))
-        acfg = AqaeConfig(k_bits=1, max_zoom=4, reads=8, sweeps=16, seed=1, block_size_cap=1)
-        with pytest.raises(ValueError, match="cap"):
-            run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], acfg)
 
     def test_matches_run_aqae_on_each_block(self):
         cfg = reference_config(2, 3, initial=("e", "mu"))

@@ -106,10 +106,15 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(bad)]) == 2
         assert "system.nf" in capsys.readouterr().err
 
-    def test_missing_file_exit_code(self, tmp_path, capsys):
-        assert main(["evolve", "--config", str(tmp_path / "nope.yaml")]) == 2
-        assert "missing input file" in capsys.readouterr().err
+    def test_missing_file_exit_code(self, reference_cfg, tmp_path, capsys):
+        missing = tmp_path / "nope.yaml"
+        assert main(["evolve", "--config", str(missing)]) == 2
+        assert f"cannot open {missing}" in capsys.readouterr().err
         assert main(["anneal", "--qubo", str(tmp_path / "nope.qubo")]) == 2
+        # An --out into a missing directory is named as the output path.
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["evolve", "--config", str(reference_cfg), "--out", str(out)]) == 2
+        assert f"cannot open {out}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["directory", "unreadable"])
     @pytest.mark.parametrize("command, flag", [("evolve", "--config"), ("witness", "--state"), ("anneal", "--qubo")])
@@ -199,7 +204,6 @@ BAD_CONFIGS = [
         {"system": SYSTEM + 'interaction_only: "false"'},
         "system.interaction_only: expected true or false, got 'false'",
     ),
-    ("rewind_enabled-string", {"aqae": '\n  rewind_enabled: "no"'}, "aqae.rewind_enabled: expected true or false"),
     ("freeze_initial-string", {"qubo": QUBO + 'freeze_initial: "false"'}, "qubo.freeze_initial: expected true"),
     ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
     ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
@@ -214,6 +218,11 @@ BAD_CONFIGS = [
     ("penalty_weight", {"aqae": "\n  penalty_weight: 0.1"}, "aqae.penalty_weight: unknown key"),
     ("beta_start", {"aqae": "\n  beta_start: 0.1"}, "aqae.beta_start: unknown key"),
     ("beta_end", {"aqae": "\n  beta_end: 4.0"}, "aqae.beta_end: unknown key"),
+    # max_rewinds: 0 is the off switch; the detector's window and threshold are fixed.
+    ("rewind_enabled", {"aqae": "\n  rewind_enabled: false"}, "aqae.rewind_enabled: unknown key"),
+    ("convergence_window", {"aqae": "\n  convergence_window: 8"}, "aqae.convergence_window: unknown key"),
+    ("convergence_pct", {"aqae": "\n  convergence_pct: 1.0"}, "aqae.convergence_pct: unknown key"),
+    ("block_size_cap", {"aqae": "\n  block_size_cap: 210"}, "aqae.block_size_cap: unknown key"),
 ]
 
 

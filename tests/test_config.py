@@ -11,6 +11,7 @@ from nuanneal.config import BenchConfig, ConfigError, QuboConfig, load_config, r
 from nuanneal.hamiltonians import Species, Statistics
 
 README = Path(__file__).parent.parent / "README.md"
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 
 def minimal(**extra):
@@ -70,6 +71,7 @@ class TestResolveConfig:
         assert cfg.aqae.k_bits == 2
         assert cfg.aqae.max_zoom == 7
         assert cfg.aqae_dt == 1e11
+        assert set(cfg.resolved()["aqae"]) == {"k_bits", "max_zoom", "reads", "sweeps", "max_rewinds", "dt"}
 
 
     def test_numeric_strings_are_numbers(self):
@@ -151,6 +153,13 @@ class TestValidationErrors:
 
 
 class TestLoadConfig:
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_shipped_config_loads(self, path):
+        # Unknown keys are rejected, so a key left over from a removed
+        # setting fails here.
+        cfg = load_config(path)
+        assert cfg.initial is not None
+
     def test_round_trip_through_yaml(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(

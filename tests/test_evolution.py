@@ -190,5 +190,18 @@ class TestBlockwiseSeries:
         states = evolve_series(cfg.spec, cfg.initial, self.TIMES)
         assert sizes == [cfg.spec.dim]
         for t, state in zip(self.TIMES, states):
-            amp = dense.evolve(cfg.initial.amplitudes, t)
-            np.testing.assert_array_equal(state.amplitudes, amp / np.linalg.norm(amp))
+            np.testing.assert_array_equal(state.amplitudes, dense.evolve(cfg.initial.amplitudes, t))
+
+    @pytest.mark.parametrize("path", ["blocked", "dense"])
+    def test_norm_drift_raises_instead_of_being_renormalised(self, monkeypatch, path):
+        b = np.zeros(8)
+        b[0], b[2] = 1e-12, -1.8e-12
+        extra = {"b_vector": b.tolist()} if path == "dense" else None
+        cfg = reference_config(3, 3, initial=("e", "mu", "tau"), system_extra=extra)
+        # An evolution that gains 1e-9 of norm per call, far past the 1e-12 bound.
+        evolve = Evolver.evolve
+        monkeypatch.setattr(Evolver, "evolve", lambda self, amp, t: (1.0 + 1e-9) * evolve(self, amp, t))
+        sizes = _evolver_sizes(monkeypatch)
+        with pytest.raises(ValueError, match="deviates from 1"):
+            evolve_series(cfg.spec, cfg.initial, self.TIMES)
+        assert (sizes == [cfg.spec.dim]) == (path == "dense")

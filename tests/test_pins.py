@@ -12,6 +12,14 @@ commit f3399a0, which gave each annealing problem one random stream,
 ``default_rng(seed)``, in place of one stream per read.  With zero sweeps
 the output scores the initial bitstrings, which come from that stream, so
 it had to move; the 200-sweep and AQAE pins did not.
+
+Four files were regenerated at the commit that cut ``AqaeConfig`` to six
+fields (after 754fc52): ``aqae_small.csv``, ``aqae_small.json``,
+``two_mode_bench.qubo`` and ``two_mode_bench_unfrozen.qubo``.  Their
+config headers lost the ``convergence_window``, ``convergence_pct``,
+``rewind_enabled`` and ``block_size_cap`` keys, and nothing else in them
+changed.  The two ``two_mode_bench.anneal*.json`` files carry no config
+header and were left untouched.
 """
 
 import json
