@@ -64,9 +64,14 @@ def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) ->
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
+    # The long-lived outputs are allocated before the dense Hamiltonian and
+    # its eigendecomposition, not among those multi-megabyte temporaries.
+    amps = np.empty((len(times), spec.dim), dtype=complex)
     if not conserves_occupations(spec):
         evolver = Evolver(build_hamiltonian(spec, initial.basis))
-        return [initial.with_amplitudes(evolver.evolve(initial.amplitudes, t)) for t in times]
+        for amp, t in zip(amps, times):
+            amp[:] = evolver.evolve(initial.amplitudes, t)
+        return [initial.with_amplitudes(amp) for amp in amps]
     # Evolve in the mass basis block by block and rotate back only the change
     # since t = 0, so that a state that does not move is returned exactly.
     u = pmns_matrix(spec.pmns, spec.nf) if initial.basis is BasisTag.FLAVOR else np.eye(spec.nf)
@@ -79,5 +84,6 @@ def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) ->
             evolver = Evolver(restrict_to_block(h, block))
             for change, t in zip(changes, times):
                 change[idx] = evolver.evolve(psi[idx], t) - psi[idx]
-    amps = [initial.amplitudes + apply_mode_unitary(c, u, spec.nf, spec.n_modes) for c in changes]
+    for amp, c in zip(amps, changes):
+        amp[:] = initial.amplitudes + apply_mode_unitary(c, u, spec.nf, spec.n_modes)
     return [initial.with_amplitudes(amp) for amp in amps]
