@@ -42,8 +42,6 @@ from .hamiltonians import (
     b_vector_two_flavor,
     build_dirac_hamiltonian,
     build_hamiltonian,
-    build_majorana_hamiltonian,
-    build_nu_antinu_hamiltonian,
     restrict_to_block,
 )
 from .witnesses import (

@@ -126,13 +126,16 @@ class AqaeResult:
     rewinds: int
 
 
-def _iteration_seed(base_seed: int, iteration: int) -> int:
-    seq = np.random.SeedSequence([int(base_seed), int(iteration)])
+def _derived_seed(*keys: int) -> int:
+    """Non-negative 63-bit seed drawn from the SeedSequence of ``keys``: an
+    anneal's from (run seed, iteration), a block run's from (config seed,
+    time index, block index)."""
+    seq = np.random.SeedSequence([int(k) for k in keys])
     return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 def run_aqae(
-    h: HamiltonianMatrix | np.ndarray,
+    h: HamiltonianMatrix,
     initial: np.ndarray,
     dt: float,
     cfg: AqaeConfig,
@@ -179,7 +182,7 @@ def clock_qubo(
 
 
 def _aqae_run(
-    h: HamiltonianMatrix | np.ndarray,
+    h: HamiltonianMatrix,
     initial: np.ndarray,
     dt: float,
     cfg: AqaeConfig,
@@ -219,7 +222,7 @@ def _aqae_run(
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
             qubo, kept = clock_qubo(clock, cemb, params, estimate)
-            schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_iteration_seed(cfg.seed, iteration))
+            schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_derived_seed(cfg.seed, iteration))
             result = yield qubo, schedule
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
@@ -309,11 +312,6 @@ class BlockedAqaeResult:
     block_reports: list[list[BlockRunReport]]
 
 
-def _block_seed(base_seed: int, time_index: int, block_index: int) -> int:
-    seq = np.random.SeedSequence([int(base_seed), int(time_index), int(block_index)])
-    return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-
 def _run_lockstep(
     runs: dict[int, Generator], blocks: list[OccupationBlock], t: float
 ) -> dict[int, AqaeResult]:
@@ -382,7 +380,7 @@ def run_aqae_blocked(
     # (and checked) once for all sample times.
     subs = [psi_mass.amplitudes[np.asarray(block.indices)] for block in blocks]
     weights = [float(np.linalg.norm(sub)) for sub in subs]
-    h_blocks: dict[int, np.ndarray] = {}
+    h_blocks: dict[int, HamiltonianMatrix] = {}
     for b_idx, block in enumerate(blocks):
         if weights[b_idx] > ZERO_BLOCK_NORM:
             h_blocks[b_idx] = restrict_to_block(h_mass, block)
@@ -400,7 +398,7 @@ def run_aqae_blocked(
         per_block = [BlockRunReport(b.occupation, b.size, w, True) for b, w in zip(blocks, weights)]
         runs: dict[int, Generator] = {}
         for b_idx, h_block in h_blocks.items():
-            block_cfg = replace(cfg, seed=_block_seed(cfg.seed, t_idx, b_idx))
+            block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
             runs[b_idx] = _aqae_run(h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
         assembled = np.zeros(spec.dim, dtype=complex)
         for b_idx, res in _run_lockstep(runs, blocks, t).items():

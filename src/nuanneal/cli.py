@@ -98,7 +98,7 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     if q is None:
         raise ConfigError("qubo.time: required")
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
-    clock = build_clock(h.matrix, cfg.initial.amplitudes, q.time / q.steps, q.steps)
+    clock = build_clock(h, cfg.initial.amplitudes, q.time / q.steps, q.steps)
     params = DigitizationParams(q.k_bits, q.zoom, q.direction)
     problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock), q.freeze_initial)
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
@@ -183,7 +183,7 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
     lines.append(f"zoom,{bench.axis},infidelity")
     for value in bench.values:
         run_cfg = replace(cfg.aqae, max_zoom=max(bench.zooms) + 1, **{bench.axis: value})
-        res = run_aqae(h.matrix, cfg.initial.amplitudes, bench.time, run_cfg, oracle=True)
+        res = run_aqae(h, cfg.initial.amplitudes, bench.time, run_cfg, oracle=True)
         by_zoom = {
             entry["zoom"]: entry["overlap"]
             for entry in res.diagnostics

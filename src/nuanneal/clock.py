@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .evolution import propagator
-from .hamiltonians import HamiltonianMatrix
+from .hamiltonians import HamiltonianMatrix, check_hermitian
 
 CLOCK_PSD_TOL = 1e-10
 
@@ -59,9 +59,7 @@ class ClockMatrix:
             raise ValueError(
                 f"clock matrix has shape {self.matrix.shape}, expected ({expected}, {expected})"
             )
-        scale = max(1.0, np.max(np.abs(self.matrix)))
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12 * scale:
-            raise ValueError("clock matrix must be Hermitian")
+        scale = check_hermitian(self.matrix, "clock matrix")
         lowest = float(np.linalg.eigvalsh(self.matrix)[0])
         if lowest < -CLOCK_PSD_TOL * scale:
             raise ValueError(f"clock matrix has eigenvalue {lowest:.3e} below the PSD floor")
@@ -72,7 +70,7 @@ class ClockMatrix:
 
 
 def build_clock(
-    h: HamiltonianMatrix | np.ndarray,
+    h: HamiltonianMatrix,
     initial: np.ndarray,
     dt: float,
     steps: int = 1,
@@ -321,8 +319,7 @@ def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray
     c = np.asarray(real_c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"real_c must be square, got shape {c.shape}")
-    if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
-        raise ValueError("real_c must be symmetric")
+    check_hermitian(c, "real_c")
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (c.shape[0],):
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")

@@ -20,13 +20,6 @@ from .hamiltonians import (
 )
 
 
-def _as_matrix(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
-    m = h.matrix if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * np.max(np.abs(m)):
-        raise ValueError("propagator requires a Hermitian matrix")
-    return m
-
-
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(m)
@@ -34,22 +27,21 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigendecomposition failed for {m.shape[0]}-dim Hamiltonian") from exc
 
 
-def propagator(h: HamiltonianMatrix | np.ndarray, t: float) -> np.ndarray:
+def propagator(h: HamiltonianMatrix, t: float) -> np.ndarray:
     """Unitary exp(-i H t) from the eigendecomposition of H."""
-    m = _as_matrix(h)
-    evals, evecs = _eigh(m)
+    evals, evecs = _eigh(h.matrix)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 class Evolver:
     """One eigendecomposition, arbitrarily many sample times."""
 
-    def __init__(self, h: HamiltonianMatrix | np.ndarray):
-        self.matrix = _as_matrix(h)
-        self.evals, self.evecs = _eigh(self.matrix)
+    def __init__(self, h: HamiltonianMatrix):
+        self.evals, self.evecs = _eigh(h.matrix)
+        self._evecs_dag = self.evecs.conj().T
 
     def evolve(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        coeffs = self.evecs.conj().T @ amplitudes
+        coeffs = self._evecs_dag @ amplitudes
         return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)
 
 

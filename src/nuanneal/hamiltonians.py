@@ -173,6 +173,19 @@ class SystemSpec:
         return self.coupling_k * (1.0 - math.cos(self.angles[p, q]))
 
 
+def check_hermitian(m: np.ndarray, what: str) -> float:
+    """Raise unless max |M - M^dag| <= HERMITICITY_TOL * max |M|; return max |M|.
+
+    The test is relative with no floor, so it keeps its meaning at the
+    ~1e-10 eV scale of the Hamiltonians here; a zero matrix passes.
+    """
+    scale = float(np.max(np.abs(m), initial=0.0))
+    dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(f"{what} deviates from Hermiticity by {dev:.3e}, max |M| {scale:.3e}")
+    return scale
+
+
 @dataclass
 class HamiltonianMatrix:
     """Dense Hermitian operator on the nf^N many-body space."""
@@ -184,10 +197,7 @@ class HamiltonianMatrix:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
-        scale = np.max(np.abs(self.matrix))
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}, max |H| {scale:.3e}")
+        check_hermitian(self.matrix, "matrix")
 
 
 def _add_one_body(h: np.ndarray, spec: SystemSpec, basis: BasisTag) -> None:
@@ -206,13 +216,37 @@ def _add_one_body(h: np.ndarray, spec: SystemSpec, basis: BasisTag) -> None:
         blocks += local
 
 
-def _add_pairs(h: np.ndarray, spec: SystemSpec, form_of) -> None:
-    """Add sum_{p<q} k (1 - cos theta_pq) (x P_pq + y K_pq + z) into ``h`` in
-    place, pair by pair in p < q order, with ``(x, y, z) = form_of(p, q)``.
+# Pair term k_pq (x P_pq + y K_pq + z / nf) of modes p < q, as (x, y, z) by
+# the kind of pair.  P_pq swaps the digits of modes p and q, and
+# K_pq = sum_ab |..a..a..><..b..b..| on them.
+_PAIR_FORMS = {
+    # Like species (Dirac): sum_a lambda_a (x) lambda_a = 2 P - 2/nf, the same
+    # in the mass and the flavor basis.
+    "like": (2.0, 0.0, -2.0),
+    # Mixed neutrino/antineutrino (Dirac): the lower-index mode's generators
+    # are conjugated and the term picks up a factor -2,
+    # -2 sum_a lambda_a* (x) lambda_a = -2 (2 K - 2/nf).  It depends on the
+    # basis, so no mass-basis form exists.
+    "mixed": (0.0, -4.0, 4.0),
+    # Majorana (self-conjugate modes): only the antisymmetric generators
+    # survive, 2 sum_a Im lambda_a (x) Im lambda_a = 2 (K - P); flavor basis
+    # only.
+    "majorana": (-2.0, 2.0, 0.0),
+}
 
-    P_pq swaps the digits of modes p and q, and K_pq = sum_ab |..a..a..><..b..b..|
-    on them; both are index maps over the digit table, so no pair operator is
-    ever formed as a matrix.
+
+def _pair_kind(spec: SystemSpec, p: int, q: int) -> str:
+    if spec.statistics is Statistics.MAJORANA:
+        return "majorana"
+    return "like" if spec.species[p] is spec.species[q] else "mixed"
+
+
+def _add_pairs(h: np.ndarray, spec: SystemSpec) -> None:
+    """Add sum_{p<q} k (1 - cos theta_pq) times the pair's ``_PAIR_FORMS`` term
+    into ``h`` in place, pair by pair in p < q order.
+
+    P and K are index maps over the digit table, so no pair operator is ever
+    formed as a matrix.
     """
     index = np.arange(spec.dim).reshape((spec.nf,) * spec.n_modes)
     rows = index.reshape(-1)
@@ -222,7 +256,8 @@ def _add_pairs(h: np.ndarray, spec: SystemSpec, form_of) -> None:
         k = spec.pair_coupling(p, q)
         if k == 0.0:
             continue
-        x, y, z = form_of(p, q)
+        x, y, z_nf = _PAIR_FORMS[_pair_kind(spec, p, q)]
+        z = z_nf / spec.nf
         partner = index.swapaxes(p, q).reshape(-1)
         fixed = partner == rows
         diagonal += np.where(fixed, k * (x + y + z), k * z)
@@ -233,69 +268,34 @@ def _add_pairs(h: np.ndarray, spec: SystemSpec, form_of) -> None:
             h[ends[:, :, None], ends[:, None, :]] += k * y * off_diagonal
 
 
-def _assemble(spec: SystemSpec, basis: BasisTag, form_of) -> HamiltonianMatrix:
+def _is_dirac_neutrino(spec: SystemSpec) -> bool:
+    return spec.statistics is Statistics.DIRAC and Species.ANTINEUTRINO not in spec.species
+
+
+def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> HamiltonianMatrix:
+    """H = sum_p B_p . lambda_p + sum_{p<q} k_pq (x P_pq + y K_pq + z / nf).
+
+    Each pair's (x, y, z) comes from ``_PAIR_FORMS`` by the spec's statistics
+    and the two modes' species.  The one-body term is conjugated by the
+    per-mode PMNS matrix in the flavor basis; ``interaction_only`` drops it.
+    Only an all-neutrino Dirac system has a mass-basis form.
+    """
+    if basis is not BasisTag.FLAVOR and not _is_dirac_neutrino(spec):
+        raise ValueError(
+            "mixed neutrino/antineutrino and Majorana Hamiltonians are only defined in the flavor basis"
+        )
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     if not spec.interaction_only:
         _add_one_body(h, spec, basis)
-    _add_pairs(h, spec, form_of)
+    _add_pairs(h, spec)
     return HamiltonianMatrix(h, basis)
 
 
 def build_dirac_hamiltonian(spec: SystemSpec, basis: BasisTag) -> HamiltonianMatrix:
-    """Neutrino-neutrino Hamiltonian for all-neutrino Dirac systems.
-
-    The two-body term k_pq sum_a lambda_a (x) lambda_a = k_pq (2 P_pq - 2/nf)
-    is identical in both bases; only the one-body term is conjugated by the
-    per-mode PMNS matrix in the flavor basis.  ``interaction_only`` drops the
-    one-body term entirely.
-    """
-    if spec.statistics is not Statistics.DIRAC or Species.ANTINEUTRINO in spec.species:
+    """:func:`build_hamiltonian` for an all-neutrino Dirac system, in either basis."""
+    if not _is_dirac_neutrino(spec):
         raise ValueError("build_dirac_hamiltonian requires an all-neutrino Dirac system")
-    return _assemble(spec, basis, lambda p, q: (2.0, 0.0, -2.0 / spec.nf))
-
-
-def build_nu_antinu_hamiltonian(spec: SystemSpec) -> HamiltonianMatrix:
-    """Mixed neutrino/antineutrino Hamiltonian, flavor basis only.
-
-    Like-species pairs carry the plain exchange term k_pq (2 P - 2/nf).
-    Mixed pairs conjugate the lower-index mode's generators and pick up a
-    factor -2: -2 k_pq sum_a lambda_a* (x) lambda_a = -2 k_pq (2 K - 2/nf).
-    The mixed term is basis-dependent, so no mass-basis form exists.
-    """
-    if spec.statistics is not Statistics.DIRAC:
-        raise ValueError("build_nu_antinu_hamiltonian requires Dirac statistics")
-    if all(s is Species.NEUTRINO for s in spec.species):
-        raise ValueError("no antineutrino modes present; use build_dirac_hamiltonian")
-    like, mixed = (2.0, 0.0, -2.0 / spec.nf), (0.0, -4.0, 4.0 / spec.nf)
-    return _assemble(
-        spec, BasisTag.FLAVOR, lambda p, q: like if spec.species[p] is spec.species[q] else mixed
-    )
-
-
-def build_majorana_hamiltonian(spec: SystemSpec) -> HamiltonianMatrix:
-    """Self-conjugate neutrino Hamiltonian, flavor basis only.
-
-    Every pair couples through +2 k (1 - cos theta) times the dot product of
-    the elementwise imaginary parts of the generator vectors, where only the
-    antisymmetric generators survive: 2 sum_a Im lambda_a (x) Im lambda_a =
-    2 (K - P).
-    """
-    if spec.statistics is not Statistics.MAJORANA:
-        raise ValueError("build_majorana_hamiltonian requires Majorana statistics")
-    return _assemble(spec, BasisTag.FLAVOR, lambda p, q: (-2.0, 2.0, 0.0))
-
-
-def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> HamiltonianMatrix:
-    """Dispatch to the builder matching the spec's statistics and species."""
-    if spec.statistics is Statistics.MAJORANA:
-        if basis is not BasisTag.FLAVOR:
-            raise ValueError("Majorana Hamiltonian is only defined in the flavor basis")
-        return build_majorana_hamiltonian(spec)
-    if any(s is Species.ANTINEUTRINO for s in spec.species):
-        if basis is not BasisTag.FLAVOR:
-            raise ValueError("neutrino-antineutrino Hamiltonian is only defined in the flavor basis")
-        return build_nu_antinu_hamiltonian(spec)
-    return build_dirac_hamiltonian(spec, basis)
+    return build_hamiltonian(spec, basis)
 
 
 def conserves_occupations(spec: SystemSpec) -> bool:
@@ -303,14 +303,14 @@ def conserves_occupations(spec: SystemSpec) -> bool:
     occupation blocks in the mass basis: an all-neutrino Dirac system whose
     one-body vectors vanish off the diagonal generators (lambda_3, lambda_8;
     sigma_3 for nf=2), or that has no one-body term."""
-    if spec.statistics is not Statistics.DIRAC or Species.ANTINEUTRINO in spec.species:
+    if not _is_dirac_neutrino(spec):
         return False
     diagonal = [2] if spec.nf == 2 else [2, 7]
     return spec.interaction_only or not np.any(np.delete(spec.b_vector, diagonal, axis=1))
 
 
-def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> np.ndarray:
-    """Dense sub-matrix of a mass-basis Hamiltonian on one occupation block.
+def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> HamiltonianMatrix:
+    """Mass-basis Hamiltonian of one occupation block.
 
     Valid only for a system for which :func:`conserves_occupations` holds;
     an off-block coupling above ``OFF_BLOCK_TOL`` times max |H| means the
@@ -327,4 +327,4 @@ def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> np.ndarra
             f"off-block coupling {off:.3e} exceeds {OFF_BLOCK_TOL:.0e} of max |H| {scale:.3e}: "
             "the Hamiltonian is not block-diagonal over occupation blocks"
         )
-    return rows[:, idx]
+    return HamiltonianMatrix(rows[:, idx], BasisTag.MASS)

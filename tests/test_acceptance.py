@@ -30,7 +30,7 @@ from nuanneal.clock import (
     real_embed,
 )
 from nuanneal.evolution import evolve_series
-from nuanneal.hamiltonians import build_dirac_hamiltonian, restrict_to_block
+from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian, restrict_to_block
 from nuanneal.witnesses import compute_witnesses, dominant_frequency, entanglement_entropy
 
 
@@ -105,7 +105,7 @@ def test_criterion_02_blocked_aqae_matches_exact():
 
 def test_criterion_03_zoom_count_small_system():
     cfg = reference_config(2, 3, initial=("e", "mu"))
-    h = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR).matrix
+    h = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR)
     acfg = AqaeConfig(k_bits=1, max_zoom=35, reads=128, sweeps=128, seed=7)
     res = run_aqae(h, cfg.initial.amplitudes, 1e10, acfg, oracle=True)
     reached = None
@@ -163,14 +163,15 @@ def test_criterion_04_qubo_quadratic_form_faithfulness():
     failures = []
     instances = []
 
-    clock0 = build_clock(np.zeros((2, 2)), np.array([1.0, 0.0], dtype=complex), dt=1.0)
+    zero = HamiltonianMatrix(np.zeros((2, 2)), BasisTag.FLAVOR)
+    clock0 = build_clock(zero, np.array([1.0, 0.0], dtype=complex), dt=1.0)
     instances.append((clock0, 1))
     instances.append((clock0, 2))
 
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
-    instances.append((build_clock(m + m.conj().T, psi, dt=0.8), 2))
+    instances.append((build_clock(HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR), psi, dt=0.8), 2))
 
     cfg = reference_config(2, 2, initial=("e", "mu"))
     h_mass = build_dirac_hamiltonian(cfg.spec, BasisTag.MASS)
@@ -181,16 +182,16 @@ def test_criterion_04_qubo_quadratic_form_faithfulness():
     m3 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     psi3 = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi3 /= np.linalg.norm(psi3)
-    instances.append((build_clock(m3 + m3.conj().T, psi3, dt=0.5), 1))
+    instances.append((build_clock(HamiltonianMatrix(m3 + m3.conj().T, BasisTag.FLAVOR), psi3, dt=0.5), 1))
 
-    two_step = build_clock(m + m.conj().T, psi, dt=0.4, steps=2)
+    two_step = build_clock(HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR), psi, dt=0.4, steps=2)
     instances.append((two_step, 1))
 
     # The largest admissible instance: 20 binary variables unfrozen.
     m5 = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     psi5 = rng.normal(size=5) + 1j * rng.normal(size=5)
     psi5 /= np.linalg.norm(psi5)
-    instances.append((build_clock(m5 + m5.conj().T, psi5, dt=0.3), 1))
+    instances.append((build_clock(HamiltonianMatrix(m5 + m5.conj().T, BasisTag.FLAVOR), psi5, dt=0.3), 1))
 
     for clock, k_bits in instances:
         for frozen in (False, True):
@@ -238,7 +239,7 @@ def test_criterion_07_block_structure():
     h = build_dirac_hamiltonian(cfg.spec, BasisTag.MASS)
     full = np.sort(np.linalg.eigvalsh(h.matrix))
     pieces = np.sort(
-        np.concatenate([np.linalg.eigvalsh(restrict_to_block(h, b)) for b in blocks])
+        np.concatenate([np.linalg.eigvalsh(restrict_to_block(h, b).matrix) for b in blocks])
     )
     dev = float(np.max(np.abs(pieces - full)))
     if dev > 1e-9 * max(1.0, float(np.abs(full).max())):

@@ -6,6 +6,7 @@ from helpers import BAD_QUBO_TEXTS, reference_config
 
 from nuanneal.basis import BasisTag
 from nuanneal.clock import (
+    ClockMatrix,
     DigitizationParams,
     Direction,
     QuboProblem,
@@ -19,7 +20,7 @@ from nuanneal.clock import (
     unembed_state,
 )
 from nuanneal.evolution import propagator
-from nuanneal.hamiltonians import build_dirac_hamiltonian
+from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian
 
 
 def random_hermitian(rng, dim):
@@ -30,7 +31,7 @@ def random_hermitian(rng, dim):
 class TestBuildClock:
     def test_zero_hamiltonian_ground_state(self):
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        clock = build_clock(np.zeros((2, 2)), psi0, dt=1.0, steps=1)
+        clock = build_clock(HamiltonianMatrix(np.zeros((2, 2)), BasisTag.FLAVOR), psi0, dt=1.0, steps=1)
         trajectory = np.concatenate([psi0, psi0]) / np.sqrt(2.0)
         residual = clock.matrix @ trajectory
         assert np.max(np.abs(residual)) < 1e-12
@@ -39,7 +40,7 @@ class TestBuildClock:
 
     def test_ground_state_matches_exact_trajectory(self):
         cfg = reference_config(2, 3)
-        h = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR).matrix
+        h = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR)
         psi0 = np.zeros(9, dtype=complex)
         psi0[1] = 1.0
         dt = 1e12
@@ -51,7 +52,7 @@ class TestBuildClock:
         assert abs(np.vdot(trajectory, ground)) >= 1.0 - 1e-10
 
     def test_multi_step_trajectory_in_kernel(self):
-        h = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]])
+        h = HamiltonianMatrix(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]), BasisTag.FLAVOR)
         psi0 = np.array([0.6, 0.8], dtype=complex)
         dt = 0.7
         clock = build_clock(h, psi0, dt, steps=3)
@@ -65,7 +66,7 @@ class TestBuildClock:
     def test_hermitian_and_psd_for_random_hamiltonians(self, rng):
         for _ in range(5):
             dim = int(rng.integers(2, 5))
-            h = random_hermitian(rng, dim)
+            h = HamiltonianMatrix(random_hermitian(rng, dim), BasisTag.FLAVOR)
             psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi0 /= np.linalg.norm(psi0)
             clock = build_clock(h, psi0, dt=0.3, steps=2)
@@ -75,15 +76,29 @@ class TestBuildClock:
 
     def test_rejects_unnormalized_initial(self):
         with pytest.raises(ValueError):
-            build_clock(np.zeros((2, 2)), np.array([1.0, 1.0]), dt=1.0)
+            build_clock(HamiltonianMatrix(np.zeros((2, 2)), BasisTag.FLAVOR), np.array([1.0, 1.0]), dt=1.0)
 
     def test_any_positive_penalty_keeps_trajectory_optimal(self, rng):
-        h = random_hermitian(rng, 3)
+        h = HamiltonianMatrix(random_hermitian(rng, 3), BasisTag.FLAVOR)
         psi0 = np.eye(3)[0].astype(complex)
         clock = build_clock(h, psi0, dt=0.5, steps=1, penalty_weight=0.05)
         evals, evecs = np.linalg.eigh(clock.matrix)
         trajectory = np.concatenate([psi0, propagator(h, 0.5) @ psi0]) / np.sqrt(2.0)
         assert abs(np.vdot(trajectory, evecs[:, 0])) >= 1.0 - 1e-10
+
+
+class TestClockMatrix:
+    def test_rejects_non_hermitian_matrix_at_small_scale(self):
+        # A tolerance floored at 1 passed this: the defect is all of max |C|.
+        m = 1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Hermiticity"):
+            ClockMatrix(m, n_steps=1, register_dim=1, initial=np.ones(1, dtype=complex))
+
+    def test_psd_floor_is_relative(self):
+        # Eigenvalues 1e-13 and -1e-13: the negative one is all of max |C|.
+        m = 1e-13 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="PSD"):
+            ClockMatrix(m, n_steps=1, register_dim=1, initial=np.ones(1, dtype=complex))
 
 
 class TestRealEmbed:
@@ -204,6 +219,12 @@ class TestBuildQubo:
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
             build_qubo(np.array([[0.0, 1.0], [0.0, 0.0]]), DigitizationParams(k_bits=1), np.zeros(2))
+
+    def test_rejects_asymmetric_matrix_at_small_scale(self):
+        # A tolerance floored at 1 passed this: the defect is all of max |C|.
+        c = 1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Hermiticity"):
+            build_qubo(c, DigitizationParams(k_bits=1), np.zeros(2))
 
 
 class TestQuboProblem:

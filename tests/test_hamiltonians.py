@@ -5,7 +5,6 @@ import pytest
 from helpers import generator_sum_oracle, pair_embed_oracle, reference_config
 
 from nuanneal.basis import GELL_MANN, BasisTag, mass_blocks, pmns_matrix
-from nuanneal.evolution import Evolver
 from nuanneal.hamiltonians import (
     HamiltonianMatrix,
     SystemSpec,
@@ -15,8 +14,7 @@ from nuanneal.hamiltonians import (
     b_vector_two_flavor,
     build_dirac_hamiltonian,
     build_hamiltonian,
-    build_majorana_hamiltonian,
-    build_nu_antinu_hamiltonian,
+    check_hermitian,
     conserves_occupations,
     restrict_to_block,
 )
@@ -173,7 +171,7 @@ class TestNuAntinuHamiltonian:
             2, 3, system_extra={"k_ev": 0.0, "species": ["neutrino", "antineutrino"]}
         )
         plain = reference_config(2, 3, system_extra={"k_ev": 0.0})
-        got = build_nu_antinu_hamiltonian(mixed.spec)
+        got = build_hamiltonian(mixed.spec)
         ref = build_dirac_hamiltonian(plain.spec, BasisTag.FLAVOR)
         np.testing.assert_allclose(got.matrix, ref.matrix, atol=1e-20)
 
@@ -192,7 +190,7 @@ class TestNuAntinuHamiltonian:
             u @ (spec.b_vector[p][2] * np.diag([1.0, -1.0])) @ u.conj().T for p in range(2)
         ]
         one_body = np.kron(local[0], np.eye(2)) + np.kron(np.eye(2), local[1])
-        got = build_nu_antinu_hamiltonian(spec)
+        got = build_hamiltonian(spec)
         np.testing.assert_allclose(got.matrix, one_body + two_body, atol=1e-18)
 
     def test_one_and_two_body_terms_do_not_commute_for_three_flavors(self):
@@ -202,8 +200,8 @@ class TestNuAntinuHamiltonian:
             3,
             system_extra={"species": ["neutrino", "antineutrino"], "interaction_only": True},
         )
-        full = build_nu_antinu_hamiltonian(full_cfg.spec).matrix
-        h2 = build_nu_antinu_hamiltonian(int_cfg.spec).matrix
+        full = build_hamiltonian(full_cfg.spec).matrix
+        h2 = build_hamiltonian(int_cfg.spec).matrix
         h1 = full - h2
         comm = np.linalg.norm(h1 @ h2 - h2 @ h1, 2)
         assert comm > 1e-6 * np.linalg.norm(h1, 2) * np.linalg.norm(h2, 2)
@@ -213,17 +211,12 @@ class TestNuAntinuHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(cfg.spec, BasisTag.MASS)
 
-    def test_rejects_all_neutrino_species(self):
-        cfg = reference_config(2, 3)
-        with pytest.raises(ValueError):
-            build_nu_antinu_hamiltonian(cfg.spec)
-
 
 class TestMajoranaHamiltonian:
     def test_zero_coupling_matches_dirac_one_body(self):
         major = reference_config(2, 3, system_extra={"statistics": "majorana", "k_ev": 0.0})
         plain = reference_config(2, 3, system_extra={"k_ev": 0.0})
-        got = build_majorana_hamiltonian(major.spec)
+        got = build_hamiltonian(major.spec)
         ref = build_dirac_hamiltonian(plain.spec, BasisTag.FLAVOR)
         np.testing.assert_allclose(got.matrix, ref.matrix, atol=1e-20)
 
@@ -233,7 +226,7 @@ class TestMajoranaHamiltonian:
         )
         coupling = cfg.spec.pair_coupling(0, 1)
         expected = 2.0 * coupling * pair_embed_oracle(IM_SY, IM_SY, 0, 1, 2)
-        got = build_majorana_hamiltonian(cfg.spec)
+        got = build_hamiltonian(cfg.spec)
         np.testing.assert_allclose(got.matrix, expected, atol=1e-20)
 
     def test_three_flavor_interaction_has_three_generators(self):
@@ -246,15 +239,15 @@ class TestMajoranaHamiltonian:
             2.0 * coupling * pair_embed_oracle(GELL_MANN[a].imag, GELL_MANN[a].imag, 0, 1, 2)
             for a in (1, 4, 6)
         )
-        got = build_majorana_hamiltonian(cfg.spec)
+        got = build_hamiltonian(cfg.spec)
         np.testing.assert_allclose(got.matrix, expected, atol=1e-20)
         for a in (0, 2, 3, 5, 7):
             assert np.max(np.abs(GELL_MANN[a].imag)) == 0.0
 
-    def test_rejects_dirac_statistics(self):
-        cfg = reference_config(2, 3)
-        with pytest.raises(ValueError):
-            build_majorana_hamiltonian(cfg.spec)
+    def test_rejects_mass_basis_request(self):
+        cfg = reference_config(2, 3, system_extra={"statistics": "majorana"})
+        with pytest.raises(ValueError, match="flavor basis"):
+            build_hamiltonian(cfg.spec, BasisTag.MASS)
 
 
 class TestRestrictToBlock:
@@ -263,9 +256,9 @@ class TestRestrictToBlock:
         h = build_dirac_hamiltonian(cfg.spec, BasisTag.MASS)
         block = next(b for b in mass_blocks(3, 2) if b.size == 1)
         sub = restrict_to_block(h, block)
-        assert sub.shape == (1, 1)
+        assert sub.basis is BasisTag.MASS and sub.matrix.shape == (1, 1)
         idx = block.indices[0]
-        assert sub[0, 0] == h.matrix[idx, idx]
+        assert sub.matrix[0, 0] == h.matrix[idx, idx]
 
     def test_direct_sum_spectrum_matches_full(self):
         cfg = reference_config(4, 3, system_extra={"xi": 0.9})
@@ -273,9 +266,9 @@ class TestRestrictToBlock:
         full = np.sort(np.linalg.eigvalsh(h.matrix))
         pieces = []
         for block in mass_blocks(3, 4):
-            pieces.append(np.linalg.eigvalsh(restrict_to_block(h, block)))
+            pieces.append(np.linalg.eigvalsh(restrict_to_block(h, block).matrix))
         stacked = np.sort(np.concatenate(pieces))
-        np.testing.assert_allclose(stacked, full, atol=1e-9 * max(1.0, np.abs(full).max()))
+        np.testing.assert_allclose(stacked, full, atol=1e-9 * np.abs(full).max())
 
     def test_blocks_reassemble_matrix(self):
         cfg = reference_config(3, 2)
@@ -283,12 +276,12 @@ class TestRestrictToBlock:
         rebuilt = np.zeros_like(h.matrix)
         for block in mass_blocks(2, 3):
             idx = np.asarray(block.indices)
-            rebuilt[np.ix_(idx, idx)] = restrict_to_block(h, block)
+            rebuilt[np.ix_(idx, idx)] = restrict_to_block(h, block).matrix
         np.testing.assert_array_equal(rebuilt, h.matrix)
 
     def test_rejects_flavor_basis(self):
         cfg = reference_config(2, 3, system_extra={"species": ["neutrino", "antineutrino"]})
-        h = build_nu_antinu_hamiltonian(cfg.spec)
+        h = build_hamiltonian(cfg.spec)
         with pytest.raises(ValueError):
             restrict_to_block(h, mass_blocks(3, 2)[0])
 
@@ -392,12 +385,12 @@ class TestExchangeBuildersMatchGeneratorSums:
         ]
         rng.shuffle(species)
         spec = _random_spec(rng, n, nf, species=species)
-        self._assert_close(build_nu_antinu_hamiltonian(spec).matrix, generator_sum_oracle(spec))
+        self._assert_close(build_hamiltonian(spec).matrix, generator_sum_oracle(spec))
 
     @pytest.mark.parametrize("nf, n, seed", CASES)
     def test_majorana(self, nf, n, seed):
         spec = _random_spec(np.random.default_rng([seed, nf, n, 2]), n, nf, statistics="majorana")
-        self._assert_close(build_majorana_hamiltonian(spec).matrix, generator_sum_oracle(spec))
+        self._assert_close(build_hamiltonian(spec).matrix, generator_sum_oracle(spec))
 
     @pytest.mark.parametrize(
         "n, nf, basis",
@@ -426,5 +419,11 @@ class TestRelativeHermiticity:
         bad = h + anti * (0.12 * np.max(np.abs(h)) / np.max(np.abs(anti)))
         with pytest.raises(ValueError, match="Hermiticity"):
             HamiltonianMatrix(bad, BasisTag.FLAVOR)
-        with pytest.raises(ValueError, match="Hermitian"):
-            Evolver(bad)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermiticity"):
+            HamiltonianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), BasisTag.FLAVOR)
+
+    def test_zero_matrix_passes(self):
+        assert check_hermitian(np.zeros((3, 3)), "zero") == 0.0
+        HamiltonianMatrix(np.zeros((3, 3)), BasisTag.MASS)

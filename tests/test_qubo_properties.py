@@ -7,7 +7,7 @@ returns the same arrays and offset.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,8 +21,7 @@ from nuanneal.clock import (
     build_qubo,
     real_embed,
 )
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+from nuanneal.hamiltonians import BasisTag, HamiltonianMatrix
 
 values = st.floats(-4.0, 4.0, allow_nan=False)
 complex_values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
@@ -52,7 +51,6 @@ def _assert_round_trip(q: QuboProblem) -> None:
     assert back.offset == q.offset
 
 
-@PROPERTY_SETTINGS
 @given(data=st.data(), dim=st.integers(1, 4), params=digitizations)
 def test_random_form_with_and_without_fixed_bits(data, dim, params):
     m = data.draw(arrays(float, (dim, dim), elements=values))
@@ -72,7 +70,6 @@ def test_random_form_with_and_without_fixed_bits(data, dim, params):
     _assert_round_trip(q)
 
 
-@PROPERTY_SETTINGS
 @given(
     data=st.data(),
     register_dim=st.integers(1, 2),
@@ -82,7 +79,7 @@ def test_random_form_with_and_without_fixed_bits(data, dim, params):
 def test_clock_qubo_with_and_without_frozen_register(data, register_dim, params, freeze):
     m = data.draw(arrays(complex, (register_dim, register_dim), elements=complex_values))
     psi = data.draw(arrays(complex, register_dim, elements=complex_values).filter(lambda v: np.linalg.norm(v) > 0.1))
-    clock = build_clock(m + m.conj().T, psi / np.linalg.norm(psi), dt=0.7)
+    clock = build_clock(HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR), psi / np.linalg.norm(psi), dt=0.7)
     cemb = real_embed(clock)
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
     estimate = initial_estimate(clock) + shift

@@ -7,10 +7,14 @@ from helpers import (
     REFERENCE_TIMES,
     entropy_oracle,
     exchange_witness_oracle,
+    kron_chain,
     negativity_oracle,
     rdm_oracle,
     reference_config,
 )
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nuanneal.basis import BasisTag, StateVector, flavor_state
 from nuanneal.evolution import evolve_series
@@ -136,6 +140,24 @@ class TestGlobalPhaseInvariance:
             assert negativity(rotated, 0, 1) == pytest.approx(
                 negativity(state, 0, 1), abs=1e-13
             )
+
+
+entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), nf=st.sampled_from([2, 3]), n_modes=st.integers(2, 4))
+def test_witnesses_unchanged_by_independent_local_unitaries(data, nf, n_modes):
+    amp = data.draw(arrays(complex, nf**n_modes, elements=entries).filter(lambda v: np.linalg.norm(v) > 0.1))
+    state = StateVector(amp / np.linalg.norm(amp), BasisTag.FLAVOR, nf, n_modes)
+    # The Q factor of any square matrix is unitary; each mode gets its own.
+    unitaries = [
+        np.linalg.qr(data.draw(arrays(complex, (nf, nf), elements=entries)))[0] for _ in range(n_modes)
+    ]
+    moved = state.with_amplitudes(kron_chain(unitaries) @ state.amplitudes)
+    before, after = compute_witnesses(state), compute_witnesses(moved)
+    np.testing.assert_allclose(after.entropies, before.entropies, rtol=0, atol=1e-10)
+    for pair, value in before.negativities.items():
+        assert abs(after.negativities[pair] - value) <= 1e-10
 
 
 class TestReferenceTable:
