@@ -14,6 +14,15 @@ an ulp of exp(-beta dE).
 zero-padded arrays; positions past the end of a smaller problem's sweep are
 never stepped, so padding changes nothing.
 
+The step loop has two implementations that agree bit for bit.  The C loop in
+``_anneal_step.c`` is compiled with the ``cc`` on PATH on the first
+:func:`anneal_many` call of a process (never at import) and loaded through
+ctypes.  The numpy loop is the reference, and it runs whenever there is no
+compiler or the build fails.  Both read the same visits and thresholds and do
+the same arithmetic: dE = (field + lin) * spin, a flip when dE is below the
+threshold, and field updates by products with a flip of -1, 0 or +1, which
+are exact; the C build turns off floating-point contraction.
+
 Determinism contract: a problem of size m draws everything from one
 generator, ``default_rng(seed)`` of its schedule, in this order:
 
@@ -37,9 +46,14 @@ in and its position there do not change any result, so
 
 from __future__ import annotations
 
+import ctypes
 import math
+import shutil
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +62,12 @@ from .clock import QuboProblem
 # Cap on the buffer of acceptance thresholds: a few sweeps of every read of
 # every problem in a batch.
 _THRESHOLD_BYTES = 1 << 19
+
+# The compiled step loop: _UNBUILT until the first anneal_many call of the
+# process, then the loaded C function, or None when it cannot be built (the
+# numpy loop runs instead).
+_UNBUILT = object()
+_step_kernel = _UNBUILT
 
 
 @dataclass(frozen=True)
@@ -96,13 +116,17 @@ class AnnealResult:
 
 def default_beta_range(q: QuboProblem) -> tuple[float, float]:
     """Heuristic (beta_start, beta_end) from the problem's coupling scales."""
-    reach = np.abs(q.lin) + np.abs(q.quad).sum(axis=1)
+    abs_lin, abs_quad = np.abs(q.lin), np.abs(q.quad)
+    reach = abs_lin + abs_quad.sum(axis=1)
     max_field = float(reach.max()) if q.size else 0.0
-    couplings = np.concatenate([q.lin, q.quad[np.triu_indices(q.size, 1)]])
-    magnitudes = np.abs(couplings[couplings != 0.0])
-    if max_field <= 0.0 or not magnitudes.size:
+    # quad is symmetric with a zero diagonal, so its nonzero magnitudes are
+    # those of its upper triangle.
+    smallest = min(
+        float(np.min(a, where=a != 0.0, initial=np.inf)) for a in (abs_lin, abs_quad)
+    )
+    if max_field <= 0.0 or smallest == np.inf:
         return 1.0, 1.0
-    return math.log(2.0) / max_field, math.log(1e4) / float(magnitudes.min())
+    return math.log(2.0) / max_field, math.log(1e4) / smallest
 
 
 def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
@@ -135,7 +159,7 @@ def anneal_many(
     rank = sorted(range(len(problems)), key=lambda i: -problems[i].size)
     sizes = [problems[i].size for i in rank]
     batch, n = len(rank), sizes[0]
-    starts = np.concatenate([[0], np.cumsum([sum(m > t for m in sizes) for t in range(n)])])
+    starts = np.cumsum([0] + [sum(m > t for m in sizes) for t in range(n)], dtype=np.intp)
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
 
     # Zero-padded state, row p * n + j for variable j of problem p; spins
@@ -169,10 +193,8 @@ def anneal_many(
     chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * visits.shape[1] * reads)))
     thresholds = np.empty((chunk, visits.shape[1], reads))
     staging = np.empty(chunk * n * reads)
-    spin_rows = spins.reshape(batch * n, reads)
-    field_rows = fields.reshape(batch * n, reads)
-    lin_rows = lin_pad.reshape(batch * n, 1)
-    quad_rows = quad_pad.reshape(batch * n, n)
+    kernel = _native_kernel()
+    state = (lin_pad, quad_pad, spins, fields)
     for s0 in range(0, sweeps, chunk):
         s1 = min(s0 + chunk, sweeps)
         # Thresholds -ln(u)/beta; u = 0 gives an infinite one, always accepted.
@@ -184,24 +206,11 @@ def anneal_many(
                 np.log(draws, out=draws)
                 draws /= neg_betas[p, s0:s1, None, None]
                 thresholds[: s1 - s0, starts[:m] + p] = draws
-        for sweep in range(s0, s1):
-            limits, steps = thresholds[sweep - s0], visits[sweep]
-            lin_at, quad_at = lin_rows.take(steps, 0), quad_rows.take(steps, 0)
-            for lo, hi in bounds:
-                rows = steps[lo:hi]
-                spin = spin_rows.take(rows, 0)
-                delta_e = field_rows.take(rows, 0)
-                delta_e += lin_at[lo:hi]
-                delta_e *= spin
-                accept = delta_e < limits[lo:hi]
-                if np.count_nonzero(accept):
-                    # flip is -1, 0 or +1, so every product and difference
-                    # below is exact.
-                    flip = spin * accept
-                    spin -= flip
-                    spin -= flip
-                    spin_rows[rows] = spin
-                    fields[: hi - lo] += np.einsum("kj,kr->kjr", quad_at[lo:hi], flip)
+        # One step-loop call per chunk: compiled if it was built, else numpy.
+        if kernel is None:
+            _numpy_steps(thresholds[: s1 - s0], visits[s0:s1], bounds, *state)
+        else:
+            _native_steps(kernel, thresholds[: s1 - s0], visits[s0:s1], starts, sizes, *state)
 
     results: dict[int, AnnealResult] = {}
     for p, i in enumerate(rank):
@@ -213,6 +222,91 @@ def anneal_many(
         # reproduce it exactly from best_bits.
         results[i] = AnnealResult(best_bits, q.total_energy(best_bits), energies)
     return [results[i] for i in range(batch)]
+
+
+def _numpy_steps(thresholds, visits, bounds, lin_pad, quad_pad, spins, fields) -> None:
+    """Reference step loop: the sweeps of one threshold chunk in lockstep.
+
+    Row s of ``visits`` and ``thresholds`` holds the packed steps of sweep s;
+    position t of the sweep is columns ``bounds[t]``.  Updates ``spins`` and
+    ``fields`` in place.
+    """
+    batch, n, reads = spins.shape
+    spin_rows = spins.reshape(batch * n, reads)
+    field_rows = fields.reshape(batch * n, reads)
+    lin_rows = lin_pad.reshape(batch * n, 1)
+    quad_rows = quad_pad.reshape(batch * n, n)
+    for limits, steps in zip(thresholds, visits):
+        lin_at, quad_at = lin_rows.take(steps, 0), quad_rows.take(steps, 0)
+        for lo, hi in bounds:
+            rows = steps[lo:hi]
+            spin = spin_rows.take(rows, 0)
+            delta_e = field_rows.take(rows, 0)
+            delta_e += lin_at[lo:hi]
+            delta_e *= spin
+            accept = delta_e < limits[lo:hi]
+            if np.count_nonzero(accept):
+                # flip is -1, 0 or +1, so every product and difference
+                # below is exact.
+                flip = spin * accept
+                spin -= flip
+                spin -= flip
+                spin_rows[rows] = spin
+                fields[: hi - lo] += np.einsum("kj,kr->kjr", quad_at[lo:hi], flip)
+
+
+def _native_steps(kernel, thresholds, visits, starts, sizes, lin_pad, quad_pad, spins, fields) -> None:
+    """:func:`_numpy_steps` in compiled code, bit for bit.
+
+    ``starts`` are the column bounds of the sweep positions and ``sizes`` the
+    problem sizes, largest first; only a problem's own field rows change.
+    """
+    _, n, reads = spins.shape
+    sizes, flip = np.array(sizes, dtype=np.intp), np.empty(reads)
+    arrays = (starts, sizes, visits, thresholds, lin_pad, quad_pad, spins, fields, flip)
+    # The C loop reads raw pointers: three index arrays, then six of doubles.
+    if [a.dtype for a in arrays] != [np.intp] * 3 + [np.float64] * 6 or not all(
+        a.flags.c_contiguous for a in arrays
+    ):
+        raise ValueError("step-loop arrays must be C-contiguous intp and float64 arrays")
+    kernel(len(visits), n, visits.shape[1], reads, *(a.ctypes.data for a in arrays))
+
+
+def _native_kernel():
+    """The compiled step loop, built on the first call; None if unavailable."""
+    global _step_kernel
+    if _step_kernel is _UNBUILT:
+        _step_kernel = _build_step_kernel()
+    return _step_kernel
+
+
+def _build_step_kernel():
+    """Compile ``_anneal_step.c`` with the ``cc`` on PATH and load it.
+
+    Returns None, without a warning, when there is no compiler or the build
+    or the load fails.  The library is built in a temporary directory that
+    is removed once it is loaded.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    import subprocess  # here, so that importing nuanneal does not load it
+
+    try:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as build:
+            library = str(Path(build) / "_anneal_step.so")
+            with resources.as_file(resources.files(__package__) / "_anneal_step.c") as source:
+                subprocess.run(
+                    [cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", library, str(source)],
+                    check=True,
+                    capture_output=True,
+                )
+            kernel = ctypes.CDLL(library).anneal_steps
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    kernel.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 9
+    kernel.restype = None
+    return kernel
 
 
 def exhaustive_minimum(q: QuboProblem, limit: int = 24) -> tuple[np.ndarray, float]:

@@ -1,4 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,25 @@ from nuanneal.clock import QuboProblem
 def random_qubo(rng, n, scale=1.0):
     coeffs = {(i, j): float(rng.normal() * scale) for i in range(n) for j in range(i, n)}
     return QuboProblem(n, coeffs)
+
+
+def native_kernel():
+    """The compiled step loop, asserting that it builds wherever ``cc`` exists."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    kernel = annealer_mod._native_kernel()
+    assert kernel is not None, "cc is on PATH but the C step loop did not build"
+    return kernel
+
+
+@pytest.fixture(params=["native", "numpy"])
+def step_loop(request, monkeypatch):
+    """Run a test once with the compiled step loop and once with numpy's."""
+    if request.param == "native":
+        native_kernel()
+    else:
+        monkeypatch.setattr(annealer_mod, "_step_kernel", None)
+    return request.param
 
 
 class TestSchedule:
@@ -45,6 +69,19 @@ class TestSchedule:
         assert default_beta_range(q) == (np.log(2.0) / 4.5, np.log(1e4) / 0.5)
         assert default_beta_range(QuboProblem(2, {(0, 1): 0.0})) == (1.0, 1.0)
 
+    def test_default_beta_range_matches_upper_triangle_scan(self, rng):
+        # The cold end scans lin and the whole symmetric quad; its upper
+        # triangle holds the same nonzero magnitudes.
+        for n in (1, 2, 5, 16):
+            q = random_qubo(rng, n)
+            q.quad[rng.random((n, n)) < 0.3] = 0.0
+            q.quad = np.triu(q.quad, 1) + np.triu(q.quad, 1).T
+            q.lin[rng.random(n) < 0.3] = 0.0
+            couplings = np.concatenate([q.lin, q.quad[np.triu_indices(n, 1)]])
+            magnitudes = np.abs(couplings[couplings != 0.0])
+            _, beta_end = default_beta_range(q)
+            assert beta_end == np.log(1e4) / magnitudes.min()
+
 
 class TestAnneal:
     def test_single_negative_variable(self):
@@ -62,6 +99,7 @@ class TestAnneal:
         assert a.best_energy == b.best_energy
         assert np.array_equal(a.all_read_energies, b.all_read_energies)
 
+    @pytest.mark.usefixtures("step_loop")
     def test_chunking_does_not_change_results(self, rng, monkeypatch):
         q = random_qubo(rng, 8)
         s = AnnealSchedule(sweeps=100, reads=17, seed=9)
@@ -71,6 +109,7 @@ class TestAnneal:
         assert np.array_equal(full.best_bits, chunked.best_bits)
         assert np.array_equal(full.all_read_energies, chunked.all_read_energies)
 
+    @pytest.mark.usefixtures("step_loop")
     def test_buffer_size_does_not_change_results_at_criterion_10_size(self, monkeypatch):
         # Criterion 10's second trial: n=16, 2000 sweeps, 200 reads.  Read
         # chunking once moved some per-read energies by an ulp here.
@@ -164,6 +203,7 @@ class TestAnnealMany:
         ]
         return problems, schedules
 
+    @pytest.mark.usefixtures("step_loop")
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 40])
     def test_matches_anneal_per_problem(self, rng, sweeps):
         problems, schedules = self._batch(rng, sweeps)
@@ -179,6 +219,7 @@ class TestAnnealMany:
         for a, b in zip(forward, backward):
             assert_same_result(a, b)
 
+    @pytest.mark.usefixtures("step_loop")
     def test_padding_raises_no_warnings(self, rng, monkeypatch):
         # A small buffer refills many times, so stale padded slots would be
         # revisited if the kernel touched them.
@@ -188,6 +229,7 @@ class TestAnnealMany:
             warnings.simplefilter("error")
             anneal_many(problems, schedules)
 
+    @pytest.mark.usefixtures("step_loop")
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 15])
     def test_matches_scalar_reference(self, sweeps):
         rng = np.random.default_rng(100 + sweeps)
@@ -217,6 +259,90 @@ class TestAnnealMany:
             anneal_many([q, QuboProblem(0, {})], [AnnealSchedule(5, 3)] * 2)
         with pytest.raises(ValueError, match="one schedule per problem"):
             anneal_many([q, q], [AnnealSchedule(5, 3)])
+
+
+def both_step_loops(problems, schedules, monkeypatch):
+    """Results of the compiled step loop, then of the numpy one."""
+    native_kernel()
+    native = anneal_many(problems, schedules)
+    monkeypatch.setattr(annealer_mod, "_step_kernel", None)
+    return native, anneal_many(problems, schedules)
+
+
+class TestStepLoops:
+    def test_native_matches_numpy_on_reference_blocked_batch(self, monkeypatch):
+        # The occupation blocks of one reference AQAE sample time: 3 blocks
+        # of 12 states, 3 of 6, 6 of 4 and 3 of 1 give these QUBO sizes.
+        rng = np.random.default_rng(9)
+        sizes = [24] * 3 + [12] * 3 + [8] * 6 + [2] * 3
+        problems = [random_qubo(rng, n) for n in sizes]
+        schedules = [
+            AnnealSchedule(96, 48, seed=k) if k % 3 else AnnealSchedule(96, 48, 0.2, 6.0, seed=k)
+            for k in range(len(problems))
+        ]
+        for a, b in zip(*both_step_loops(problems, schedules, monkeypatch)):
+            assert_same_result(a, b)
+
+    def test_native_matches_numpy_on_criterion_10_problems(self, monkeypatch):
+        # The first three criterion-10 trials: n=16, 2000 sweeps, 200 reads.
+        rng = np.random.default_rng(10)
+        for trial in range(3):
+            q = random_qubo(rng, 16)
+            s = AnnealSchedule(sweeps=2000, reads=200, seed=trial)
+            [native], [reference] = both_step_loops([q], [s], monkeypatch)
+            monkeypatch.undo()
+            assert_same_result(native, reference)
+
+    def test_no_compiler_falls_back_to_numpy_silently(self, rng, monkeypatch):
+        problems, schedules = TestAnnealMany()._batch(rng, 20)
+        expected = anneal_many(problems, schedules)
+        monkeypatch.setattr(annealer_mod, "_step_kernel", annealer_mod._UNBUILT)
+        monkeypatch.setattr(annealer_mod.shutil, "which", lambda name: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = anneal_many(problems, schedules)
+        assert annealer_mod._step_kernel is None
+        for a, b in zip(got, expected):
+            assert_same_result(a, b)
+
+    def test_failed_build_falls_back_to_numpy_silently(self, rng, monkeypatch):
+        # A "compiler" that exits 1 without writing the library.
+        failing = shutil.which("false")
+        if failing is None:
+            pytest.skip("no false(1) on PATH")
+        problems, schedules = TestAnnealMany()._batch(rng, 5)
+        expected = anneal_many(problems, schedules)
+        monkeypatch.setattr(annealer_mod, "_step_kernel", annealer_mod._UNBUILT)
+        monkeypatch.setattr(annealer_mod.shutil, "which", lambda name: failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = anneal_many(problems, schedules)
+        assert annealer_mod._step_kernel is None
+        for a, b in zip(got, expected):
+            assert_same_result(a, b)
+
+    def test_native_kernel_loads_where_a_compiler_exists(self):
+        kernel = native_kernel()
+        assert annealer_mod._native_kernel() is kernel  # built once per process
+
+    def test_import_builds_no_kernel(self):
+        # A build at import would add the compiler run to every process
+        # start, annealing or not.
+        probe = (
+            "import os, nuanneal, nuanneal.annealer as a\n"
+            "maps = '/proc/self/maps'\n"
+            "loaded = os.path.exists(maps) and '_anneal_step' in open(maps).read()\n"
+            "print(a._step_kernel is a._UNBUILT, loaded)\n"
+        )
+        src = str(Path(annealer_mod.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["True", "False"]
 
 
 class TestExhaustive:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from helpers import index_to_labels, reference_config
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nuanneal.basis import (
     BasisTag,
@@ -138,6 +141,25 @@ class TestChangeBasis:
         state = product_state((0, 0), 2)
         with pytest.raises(ValueError):
             change_basis(state, BasisTag.FLAVOR, REF)
+
+
+entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+angles = st.floats(0.0, 2 * np.pi)
+
+
+@given(
+    data=st.data(),
+    nf=st.sampled_from([2, 3]),
+    n_modes=st.integers(1, 4),
+    params=st.builds(PmnsParams, angles, angles, angles, angles),
+)
+def test_flavor_mass_flavor_round_trip(data, nf, n_modes, params):
+    amp = data.draw(arrays(complex, nf**n_modes, elements=entries).filter(lambda v: np.linalg.norm(v) > 0.1))
+    state = StateVector(amp / np.linalg.norm(amp), BasisTag.FLAVOR, nf, n_modes)
+    mass = change_basis(state, BasisTag.MASS, params)
+    back = change_basis(mass, BasisTag.FLAVOR, params)
+    assert mass.basis is BasisTag.MASS and back.basis is BasisTag.FLAVOR
+    assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-13
 
 
 class TestMassBlocks:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from helpers import generator_sum_oracle, pair_embed_oracle, reference_config
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nuanneal.basis import GELL_MANN, BasisTag, mass_blocks, pmns_matrix
 from nuanneal.hamiltonians import (
@@ -343,6 +346,30 @@ class TestRestrictToBlock:
         block = next(b for b in mass_blocks(2, 2) if b.size == 1)
         with pytest.raises(ValueError):
             restrict_to_block(h, block)
+
+
+@given(data=st.data(), nf=st.sampled_from([2, 3]), n_modes=st.integers(2, 4))
+def test_block_spectra_sum_to_the_dense_spectrum(data, nf, n_modes):
+    # Random couplings and one-body vectors on the diagonal generators only,
+    # so the mass-basis H splits into occupation blocks.  The bound is
+    # relative to max |eigenvalue| (~1e-10 eV here), with no floor at 1.
+    upper = np.triu(data.draw(arrays(float, (n_modes, n_modes), elements=st.floats(0.0, np.pi))), 1)
+    diagonal = [2] if nf == 2 else [2, 7]
+    b = np.zeros((n_modes, 3 if nf == 2 else 8))
+    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=st.floats(-2e-12, 2e-12)))
+    system = {
+        "k_ev": data.draw(st.floats(1e-13, 1e-11)),
+        "angles": (upper + upper.T).tolist(),
+        "b_vector": b.tolist(),
+    }
+    spec = reference_config(n_modes, nf, system_extra=system).spec
+    assert conserves_occupations(spec)
+    h = build_dirac_hamiltonian(spec, BasisTag.MASS)
+    full = np.linalg.eigvalsh(h.matrix)
+    pieces = np.sort(
+        np.concatenate([np.linalg.eigvalsh(restrict_to_block(h, b).matrix) for b in mass_blocks(nf, n_modes)])
+    )
+    assert np.max(np.abs(pieces - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def _random_spec(rng, n: int, nf: int, **extra):

@@ -160,6 +160,17 @@ def test_witnesses_unchanged_by_independent_local_unitaries(data, nf, n_modes):
         assert abs(after.negativities[pair] - value) <= 1e-10
 
 
+@given(data=st.data(), nf=st.sampled_from([2, 3]), n_modes=st.integers(2, 4), phase=st.floats(0.0, 2 * np.pi))
+def test_witnesses_unchanged_by_a_global_phase(data, nf, n_modes, phase):
+    amp = data.draw(arrays(complex, nf**n_modes, elements=entries).filter(lambda v: np.linalg.norm(v) > 0.1))
+    state = StateVector(amp / np.linalg.norm(amp), BasisTag.FLAVOR, nf, n_modes)
+    before = compute_witnesses(state)
+    after = compute_witnesses(state.with_amplitudes(np.exp(1j * phase) * state.amplitudes))
+    np.testing.assert_allclose(after.entropies, before.entropies, rtol=0, atol=1e-12)
+    for pair, value in before.negativities.items():
+        assert abs(after.negativities[pair] - value) <= 1e-12
+
+
 class TestReferenceTable:
     def test_exact_series_reproduces_reference_table(self):
         cfg = reference_config(4, 3, initial=("e", "e", "tau", "mu"), times=REFERENCE_TIMES)
