@@ -6,7 +6,7 @@ simulated annealer, the adaptive zoom driver with mass-basis domain
 decomposition, and a configuration-driven CLI.
 """
 
-from .annealer import AnnealResult, AnnealSchedule, anneal, anneal_many
+from .annealer import AnnealResult, AnnealSchedule, anneal
 from .aqae import AqaeConfig, AqaeResult, BlockedAqaeResult, converged, run_aqae, run_aqae_blocked
 from .basis import (
     BasisTag,

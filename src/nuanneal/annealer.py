@@ -10,13 +10,10 @@ Acceptance uses the threshold form: a uniform draw u becomes the threshold
 is the Metropolis test u < min(1, exp(-beta dE)) rearranged; downhill flips
 always pass, and the two forms can disagree only where rounding puts u within
 an ulp of exp(-beta dE).
-:func:`anneal_many` steps a batch of independent problems in lockstep over
-zero-padded arrays; positions past the end of a smaller problem's sweep are
-never stepped, so padding changes nothing.
 
 The step loop has two implementations that agree bit for bit.  The C loop in
 ``_anneal_step.c`` is compiled with the ``cc`` on PATH on the first
-:func:`anneal_many` call of a process (never at import) and loaded through
+:func:`anneal` call of a process (never at import) and loaded through
 ctypes.  The numpy loop is the reference, and it runs whenever there is no
 compiler or the build fails.  Both read the same visits and thresholds and do
 the same arithmetic: dE = (field + lin) * spin, a flip when dE is below the
@@ -37,11 +34,8 @@ generator, ``default_rng(seed)`` of its schedule, in this order:
 
 Uniforms are drawn a few sweeps at a time, as ``(chunk, m, reads)`` blocks
 into a buffer bounded by ``_THRESHOLD_BYTES``; the flat sequence does not
-depend on the chunk size.  The buffer size, the batch a problem is annealed
-in and its position there do not change any result, so
-``anneal_many(problems, schedules)[i]`` equals
-``anneal(problems[i], schedules[i])`` bit for bit, and identical
-(problem, schedule) inputs give bit-identical results.
+depend on the chunk size.  The buffer size does not change any result,
+and identical (problem, schedule) inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ import ctypes
 import math
 import shutil
 import tempfile
-from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -59,11 +52,10 @@ import numpy as np
 
 from .clock import QuboProblem
 
-# Cap on the buffer of acceptance thresholds: a few sweeps of every read of
-# every problem in a batch.
+# Cap on the buffer of acceptance thresholds: a few sweeps of every read.
 _THRESHOLD_BYTES = 1 << 19
 
-# The compiled step loop: _UNBUILT until the first anneal_many call of the
+# The compiled step loop: _UNBUILT until the first anneal call of the
 # process, then the loaded C function, or None when it cannot be built (the
 # numpy loop runs instead).
 _UNBUILT = object()
@@ -131,145 +123,82 @@ def default_beta_range(q: QuboProblem) -> tuple[float, float]:
 
 def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     """Minimize a QUBO with seeded Metropolis annealing."""
-    return anneal_many([q], [s])[0]
-
-
-def anneal_many(
-    problems: Sequence[QuboProblem], schedules: Sequence[AnnealSchedule]
-) -> list[AnnealResult]:
-    """Anneal independent QUBOs in lockstep, one result per problem.
-
-    Every schedule must share ``sweeps`` and ``reads``; sizes, betas and
-    seeds may differ.  Each result equals :func:`anneal` on that problem.
-    """
-    if not problems:
-        raise ValueError("anneal_many needs at least one problem")
-    if len(problems) != len(schedules):
-        raise ValueError("anneal_many needs one schedule per problem")
-    sweeps, reads = schedules[0].sweeps, schedules[0].reads
-    if any(s.sweeps != sweeps or s.reads != reads for s in schedules):
-        raise ValueError("all schedules in a batch must share sweeps and reads")
-    if any(q.size < 1 for q in problems):
+    m, sweeps, reads = q.size, s.sweeps, s.reads
+    if m < 1:
         raise ValueError("QUBO must have at least one variable")
+    beta_start, beta_end = (s.beta_start, s.beta_end) if s.beta_start is not None else default_beta_range(q)
+    neg_betas = -np.geomspace(beta_start, beta_end, sweeps) if sweeps > 1 else np.full(sweeps, -beta_end)
 
-    # Largest problem first, so the problems that step at sweep position t
-    # (those with more than t variables) form a prefix of the batch.  Their
-    # visits and thresholds sit side by side in packed rows, position t in
-    # columns starts[t]:starts[t + 1]; a problem never steps past its size.
-    rank = sorted(range(len(problems)), key=lambda i: -problems[i].size)
-    sizes = [problems[i].size for i in rank]
-    batch, n = len(rank), sizes[0]
-    starts = np.cumsum([0] + [sum(m > t for m in sizes) for t in range(n)], dtype=np.intp)
-    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    rng = np.random.default_rng(s.seed)
+    visits = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1)
+    bits = rng.integers(0, 2, (m, reads)).astype(float)
+    lin, quad = np.ascontiguousarray(q.lin, np.float64), np.ascontiguousarray(q.quad, np.float64)
+    # Spins are 1 - 2 * bit.
+    spins = 1.0 - 2.0 * bits
+    fields = quad @ bits
 
-    # Zero-padded state, row p * n + j for variable j of problem p; spins
-    # are 1 - 2 * bit.
-    lin_pad = np.zeros((batch, n))
-    quad_pad = np.zeros((batch, n, n))
-    spins = np.ones((batch, n, reads))
-    fields = np.zeros((batch, n, reads))
-    visits = np.empty((sweeps, int(starts[-1])), dtype=np.intp)
-    neg_betas = np.empty((batch, sweeps))
-    streams: list[np.random.Generator] = []
-    for p, i in enumerate(rank):
-        q, s, m = problems[i], schedules[i], sizes[p]
-        lin_pad[p, :m] = q.lin
-        quad_pad[p, :m, :m] = q.quad
-        beta_start, beta_end = (
-            (s.beta_start, s.beta_end) if s.beta_start is not None else default_beta_range(q)
-        )
-        if sweeps > 1:
-            neg_betas[p] = -np.geomspace(beta_start, beta_end, sweeps)
-        else:
-            neg_betas[p] = -beta_end
-        rng = np.random.default_rng(s.seed)
-        orders = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1)
-        visits[:, starts[:m] + p] = p * n + orders
-        bits = rng.integers(0, 2, (m, reads)).astype(float)
-        spins[p, :m] = 1.0 - 2.0 * bits
-        fields[p, :m] = q.quad @ bits
-        streams.append(rng)
-
-    chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * visits.shape[1] * reads)))
-    thresholds = np.empty((chunk, visits.shape[1], reads))
-    staging = np.empty(chunk * n * reads)
+    chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * m * reads)))
+    thresholds = np.empty((chunk, m, reads))
     kernel = _native_kernel()
-    state = (lin_pad, quad_pad, spins, fields)
     for s0 in range(0, sweeps, chunk):
         s1 = min(s0 + chunk, sweeps)
         # Thresholds -ln(u)/beta; u = 0 gives an infinite one, always accepted.
+        limits = thresholds[: s1 - s0]
+        rng.random(out=limits)
         with np.errstate(divide="ignore"):
-            for p, rng in enumerate(streams):
-                m = sizes[p]
-                draws = staging[: (s1 - s0) * m * reads].reshape(s1 - s0, m, reads)
-                rng.random(out=draws)
-                np.log(draws, out=draws)
-                draws /= neg_betas[p, s0:s1, None, None]
-                thresholds[: s1 - s0, starts[:m] + p] = draws
+            np.log(limits, out=limits)
+            limits /= neg_betas[s0:s1, None, None]
         # One step-loop call per chunk: compiled if it was built, else numpy.
         if kernel is None:
-            _numpy_steps(thresholds[: s1 - s0], visits[s0:s1], bounds, *state)
+            _numpy_steps(limits, visits[s0:s1], lin, quad, spins, fields)
         else:
-            _native_steps(kernel, thresholds[: s1 - s0], visits[s0:s1], starts, sizes, *state)
+            _native_steps(kernel, limits, visits[s0:s1], lin, quad, spins, fields)
 
-    results: dict[int, AnnealResult] = {}
-    for p, i in enumerate(rank):
-        q = problems[i]
-        bits = 0.5 * (1.0 - spins[p, : sizes[p]])
-        energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
-        best_bits = bits[:, int(np.argmin(energies))].astype(np.int8)
-        # Re-derive the reported energy term by term so that callers can
-        # reproduce it exactly from best_bits.
-        results[i] = AnnealResult(best_bits, q.total_energy(best_bits), energies)
-    return [results[i] for i in range(batch)]
+    bits = 0.5 * (1.0 - spins)
+    energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
+    best_bits = bits[:, int(np.argmin(energies))].astype(np.int8)
+    # Re-derive the reported energy term by term so that callers can
+    # reproduce it exactly from best_bits.
+    return AnnealResult(best_bits, q.total_energy(best_bits), energies)
 
 
-def _numpy_steps(thresholds, visits, bounds, lin_pad, quad_pad, spins, fields) -> None:
-    """Reference step loop: the sweeps of one threshold chunk in lockstep.
+def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:
+    """Reference step loop over the sweeps of one threshold chunk.
 
-    Row s of ``visits`` and ``thresholds`` holds the packed steps of sweep s;
-    position t of the sweep is columns ``bounds[t]``.  Updates ``spins`` and
-    ``fields`` in place.
+    Step t of sweep s visits variable ``visits[s, t]`` against the per-read
+    thresholds ``thresholds[s, t]``.  Updates ``spins`` and ``fields`` in
+    place.
     """
-    batch, n, reads = spins.shape
-    spin_rows = spins.reshape(batch * n, reads)
-    field_rows = fields.reshape(batch * n, reads)
-    lin_rows = lin_pad.reshape(batch * n, 1)
-    quad_rows = quad_pad.reshape(batch * n, n)
-    for limits, steps in zip(thresholds, visits):
-        lin_at, quad_at = lin_rows.take(steps, 0), quad_rows.take(steps, 0)
-        for lo, hi in bounds:
-            rows = steps[lo:hi]
-            spin = spin_rows.take(rows, 0)
-            delta_e = field_rows.take(rows, 0)
-            delta_e += lin_at[lo:hi]
-            delta_e *= spin
-            accept = delta_e < limits[lo:hi]
-            if np.count_nonzero(accept):
-                # flip is -1, 0 or +1, so every product and difference
-                # below is exact.
-                flip = spin * accept
-                spin -= flip
-                spin -= flip
-                spin_rows[rows] = spin
-                fields[: hi - lo] += np.einsum("kj,kr->kjr", quad_at[lo:hi], flip)
+    reads = spins.shape[1]
+    for v, limits in zip(visits.ravel().tolist(), thresholds.reshape(-1, reads)):
+        spin = spins[v]
+        delta_e = fields[v] + lin[v]
+        delta_e *= spin
+        accept = delta_e < limits
+        if np.count_nonzero(accept):
+            # flip is -1, 0 or +1, so every product and difference below is
+            # exact.
+            flip = spin * accept
+            spin -= flip
+            spin -= flip
+            fields += quad[v, :, None] * flip
 
 
-def _native_steps(kernel, thresholds, visits, starts, sizes, lin_pad, quad_pad, spins, fields) -> None:
-    """:func:`_numpy_steps` in compiled code, bit for bit.
-
-    ``starts`` are the column bounds of the sweep positions and ``sizes`` the
-    problem sizes, largest first; only a problem's own field rows change.
-    """
-    _, n, reads = spins.shape
-    sizes, flip = np.array(sizes, dtype=np.intp), np.empty(reads)
-    arrays = (starts, sizes, visits, thresholds, lin_pad, quad_pad, spins, fields, flip)
-    # The C loop reads raw pointers: three index arrays, then six of doubles.
-    if [a.dtype for a in arrays] != [np.intp] * 3 + [np.float64] * 6 or not all(
+def _native_steps(kernel, thresholds, visits, lin, quad, spins, fields) -> None:
+    """:func:`_numpy_steps` in compiled code, bit for bit."""
+    n, reads = spins.shape
+    flip = np.empty(reads)
+    arrays = (visits, thresholds, lin, quad, spins, fields, flip)
+    # The C loop reads raw pointers: one index array, then six of doubles.
+    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 6 or not all(
         a.flags.c_contiguous for a in arrays
     ):
         raise ValueError("step-loop arrays must be C-contiguous intp and float64 arrays")
-    kernel(len(visits), n, visits.shape[1], reads, *(a.ctypes.data for a in arrays))
+    shapes = [a.shape for a in arrays[:-1]]
+    sweeps = len(visits)
+    if shapes != [(sweeps, n), (sweeps, n, reads), (n,), (n, n), (n, reads), (n, reads)]:
+        raise ValueError("step-loop arrays disagree in shape")
+    kernel(visits.size, n, reads, *(a.ctypes.data for a in arrays))
 
 
 def _native_kernel():
@@ -304,7 +233,7 @@ def _build_step_kernel():
             kernel = ctypes.CDLL(library).anneal_steps
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    kernel.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 9
+    kernel.argtypes = [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p] * 7
     kernel.restype = None
     return kernel
 

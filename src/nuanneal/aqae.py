@@ -12,18 +12,20 @@ percentage differences below CONVERGENCE_PCT across CONVERGENCE_WINDOW steps)
 while the energy is still far above the digitization floor marks a stalled
 run; the estimate is rewound to the latest checkpoint whose energy step was
 non-increasing and the loop resumes from there with fresh annealer seeds.
+
+The blocked driver runs one independent AQAE run per live mass-basis
+occupation block.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .annealer import AnnealResult, AnnealSchedule, anneal, anneal_many
-from .basis import BasisTag, OccupationBlock, StateVector, change_basis, mass_blocks
+from .annealer import AnnealSchedule, anneal
+from .basis import BasisTag, StateVector, change_basis, mass_blocks
 from .clock import (
     ClockMatrix,
     DigitizationParams,
@@ -134,30 +136,6 @@ def _derived_seed(*keys: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def run_aqae(
-    h: HamiltonianMatrix,
-    initial: np.ndarray,
-    dt: float,
-    cfg: AqaeConfig,
-    steps: int = 1,
-    oracle: bool = False,
-) -> AqaeResult:
-    """Recover the time-evolved state of ``initial`` by annealing.
-
-    Runs zoom levels 0 .. max_zoom-1, each with a forward and a reverse
-    digitization pass, and returns the normalized final-register amplitudes.
-    With ``oracle`` enabled every iteration also records the overlap of the
-    current final-register estimate with the exact evolution.
-    """
-    run = _aqae_run(h, initial, dt, cfg, steps, oracle)
-    try:
-        job = next(run)
-        while True:
-            job = run.send(anneal(*job))
-    except StopIteration as done:
-        return done.value
-
-
 def initial_estimate(clock: ClockMatrix) -> np.ndarray:
     """Real-embedded trajectory of the initial state followed by zero registers."""
     return embed_state(np.concatenate([clock.initial, np.zeros(clock.dim - clock.register_dim)]))
@@ -181,20 +159,20 @@ def clock_qubo(
     return problem.fix_variables({slot * k + b: 0 for slot in slots for b in range(k)})
 
 
-def _aqae_run(
+def run_aqae(
     h: HamiltonianMatrix,
     initial: np.ndarray,
     dt: float,
     cfg: AqaeConfig,
-    steps: int,
-    oracle: bool,
-) -> Generator[tuple[QuboProblem, AnnealSchedule], AnnealResult, AqaeResult]:
-    """The loop of :func:`run_aqae`, with the annealer left to the caller.
+    steps: int = 1,
+    oracle: bool = False,
+) -> AqaeResult:
+    """Recover the time-evolved state of ``initial`` by annealing.
 
-    Yields the (qubo, schedule) of every anneal, takes its
-    :class:`AnnealResult` back through ``send``, and returns the
-    :class:`AqaeResult`, so that a driver can anneal independent runs
-    together.
+    Runs zoom levels 0 .. max_zoom-1, each with a forward and a reverse
+    digitization pass, and returns the normalized final-register amplitudes.
+    With ``oracle`` enabled every iteration also records the overlap of the
+    current final-register estimate with the exact evolution.
     """
     psi0 = np.asarray(initial, dtype=complex)
     clock = build_clock(h, psi0, dt, steps)
@@ -223,7 +201,7 @@ def _aqae_run(
             params = DigitizationParams(cfg.k_bits, z, direction)
             qubo, kept = clock_qubo(clock, cemb, params, estimate)
             schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_derived_seed(cfg.seed, iteration))
-            result = yield qubo, schedule
+            result = anneal(qubo, schedule)
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
             estimate = apply_bit_updates(estimate, bits, params)
@@ -312,42 +290,6 @@ class BlockedAqaeResult:
     block_reports: list[list[BlockRunReport]]
 
 
-def _run_lockstep(
-    runs: dict[int, Generator], blocks: list[OccupationBlock], t: float
-) -> dict[int, AqaeResult]:
-    """Drive the AQAE runs of one sample time, keyed by block index, to the
-    end; every round anneals the pending QUBO of each unfinished run in one
-    :func:`anneal_many` batch."""
-    results: dict[int, AqaeResult] = {}
-    jobs: dict[int, tuple[QuboProblem, AnnealSchedule]] = {}
-
-    def where(b_idx: int) -> str:
-        block = blocks[b_idx]
-        return f"block {block.occupation} (size {block.size})"
-
-    def advance(b_idx: int, result: AnnealResult | None) -> None:
-        try:
-            jobs[b_idx] = runs[b_idx].send(result)
-        except StopIteration as done:
-            results[b_idx] = done.value
-        except Exception as exc:
-            raise RuntimeError(f"AQAE failed on {where(b_idx)} at time {t:g}: {exc}") from exc
-
-    for b_idx in runs:
-        advance(b_idx, None)
-    while jobs:
-        batch = list(jobs.items())
-        jobs.clear()
-        try:
-            annealed = anneal_many([q for _, (q, _) in batch], [s for _, (_, s) in batch])
-        except Exception as exc:
-            names = ", ".join(where(b_idx) for b_idx, _ in batch)
-            raise RuntimeError(f"AQAE failed annealing {names} at time {t:g}: {exc}") from exc
-        for (b_idx, _), result in zip(batch, annealed):
-            advance(b_idx, result)
-    return results
-
-
 def run_aqae_blocked(
     spec: SystemSpec,
     initial: StateVector,
@@ -361,10 +303,10 @@ def run_aqae_blocked(
     The flavor initial state is rotated to the mass basis and split into
     occupation blocks; at every sample time the blocks with weight above
     ``ZERO_BLOCK_NORM`` are annealed independently, reassembled, and rotated
-    back before the witnesses are computed.  The blocks of one sample time
-    are annealed in lockstep; each block's result is the one :func:`run_aqae`
-    gives on that block alone.  ``dt`` selects the clock step size (``None``
-    evolves each time in a single step).
+    back before the witnesses are computed.  Each live block is one
+    :func:`run_aqae` call, seeded from (config seed, time index, block
+    index).  ``dt`` selects the clock step size (``None`` evolves each time
+    in a single step).
     """
     if not conserves_occupations(spec):
         raise ValueError(
@@ -396,12 +338,16 @@ def run_aqae_blocked(
             steps = 1
         step_dt = t / steps if t > 0 else 0.0
         per_block = [BlockRunReport(b.occupation, b.size, w, True) for b, w in zip(blocks, weights)]
-        runs: dict[int, Generator] = {}
+        assembled = np.zeros(spec.dim, dtype=complex)
         for b_idx, h_block in h_blocks.items():
             block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
-            runs[b_idx] = _aqae_run(h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
-        assembled = np.zeros(spec.dim, dtype=complex)
-        for b_idx, res in _run_lockstep(runs, blocks, t).items():
+            try:
+                res = run_aqae(h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
+            except Exception as exc:
+                block = blocks[b_idx]
+                raise RuntimeError(
+                    f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
+                ) from exc
             rep = per_block[b_idx]
             assembled[np.asarray(blocks[b_idx].indices)] = rep.weight * res.amplitudes
             overlap = math.nan

@@ -235,14 +235,16 @@ class QuboProblem:
         bits = np.asarray(bits)
         if bits.shape != (self.size,):
             raise ValueError(f"expected {self.size} bits, got shape {bits.shape}")
-        if not np.isin(bits, (0, 1)).all():
+        if ((bits != 0) & (bits != 1)).any():
             raise ValueError("bits must be 0 or 1")
         on = np.flatnonzero(bits)
-        if not on.size:
+        k = on.size
+        if not k:
             return 0.0
-        terms = self.quad[np.ix_(on, on)]
-        terms[np.diag_indices(on.size)] = self.lin[on]
-        return float(np.cumsum(terms[np.triu_indices(on.size)])[-1])
+        terms = self.quad.take(on, 0).take(on, 1)
+        terms.flat[:: k + 1] = self.lin[on]
+        # A boolean mask selects in row-major order: the upper triangle, i <= j.
+        return float(np.cumsum(terms[~np.tri(k, k=-1, dtype=bool)])[-1])
 
     def total_energy(self, bits: np.ndarray | list[int]) -> float:
         return self.energy(bits) + self.offset

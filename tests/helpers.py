@@ -6,7 +6,7 @@ Kronecker products (the library assembles exchange operators as index maps),
 expected witness values for the reference four-mode system come from a
 swap-operator model built from elementary-matrix Kronecker chains, and the
 reference annealer steps one read and one visit at a time where the library
-steps padded batches in lockstep.
+steps every read of a visit at once.
 """
 
 from __future__ import annotations

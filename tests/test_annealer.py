@@ -10,13 +10,7 @@ import pytest
 from helpers import reference_anneal
 
 import nuanneal.annealer as annealer_mod
-from nuanneal.annealer import (
-    AnnealSchedule,
-    anneal,
-    anneal_many,
-    default_beta_range,
-    exhaustive_minimum,
-)
+from nuanneal.annealer import AnnealSchedule, anneal, default_beta_range, exhaustive_minimum
 from nuanneal.clock import QuboProblem
 
 
@@ -190,45 +184,27 @@ def assert_same_result(a, b):
     assert np.array_equal(a.all_read_energies, b.all_read_energies)
 
 
-class TestAnnealMany:
-    SIZES = (1, 2, 7, 16, 24)
+def mixed_corpus(rng, sweeps, reads=9):
+    """Problems of sizes 1 to 24, half with explicit and half with default betas."""
+    problems = [random_qubo(rng, n) for n in (1, 2, 7, 16, 24)]
+    schedules = [
+        AnnealSchedule(sweeps, reads, seed=11 * k)
+        if k % 2
+        else AnnealSchedule(sweeps, reads, beta_start=0.05 * (k + 1), beta_end=4.0, seed=11 * k)
+        for k in range(len(problems))
+    ]
+    return problems, schedules
 
-    def _batch(self, rng, sweeps, reads=9):
-        problems = [random_qubo(rng, n) for n in self.SIZES]
-        schedules = [
-            AnnealSchedule(sweeps, reads, seed=11 * k)
-            if k % 2
-            else AnnealSchedule(sweeps, reads, beta_start=0.05 * (k + 1), beta_end=4.0, seed=11 * k)
-            for k in range(len(problems))
-        ]
-        return problems, schedules
 
-    @pytest.mark.usefixtures("step_loop")
-    @pytest.mark.parametrize("sweeps", [0, 1, 2, 40])
-    def test_matches_anneal_per_problem(self, rng, sweeps):
-        problems, schedules = self._batch(rng, sweeps)
-        batched = anneal_many(problems, schedules)
-        assert len(batched) == len(problems)
-        for q, s, res in zip(problems, schedules, batched):
-            assert_same_result(res, anneal(q, s))
+def both_step_loops(problems, schedules, monkeypatch):
+    """Results of the compiled step loop, then of the numpy one."""
+    native_kernel()
+    native = [anneal(q, s) for q, s in zip(problems, schedules)]
+    monkeypatch.setattr(annealer_mod, "_step_kernel", None)
+    return native, [anneal(q, s) for q, s in zip(problems, schedules)]
 
-    def test_batch_order_does_not_matter(self, rng):
-        problems, schedules = self._batch(rng, 30)
-        forward = anneal_many(problems, schedules)
-        backward = anneal_many(problems[::-1], schedules[::-1])[::-1]
-        for a, b in zip(forward, backward):
-            assert_same_result(a, b)
 
-    @pytest.mark.usefixtures("step_loop")
-    def test_padding_raises_no_warnings(self, rng, monkeypatch):
-        # A small buffer refills many times, so stale padded slots would be
-        # revisited if the kernel touched them.
-        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)
-        problems, schedules = self._batch(rng, 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            anneal_many(problems, schedules)
-
+class TestStepLoops:
     @pytest.mark.usefixtures("step_loop")
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 15])
     def test_matches_scalar_reference(self, sweeps):
@@ -242,35 +218,13 @@ class TestAnnealMany:
                 else AnnealSchedule(sweeps, reads, 0.1 * (k + 1), 3.0, seed=int(rng.integers(2**32)))
                 for k in range(len(problems))
             ]
-            for q, s, res in zip(problems, schedules, anneal_many(problems, schedules)):
+            for q, s in zip(problems, schedules):
+                res = anneal(q, s)
                 energies, best_bits = reference_anneal(q, s)
                 assert np.array_equal(res.all_read_energies, energies)
                 assert np.array_equal(res.best_bits, best_bits)
 
-    def test_rejects_bad_batches(self, rng):
-        q = random_qubo(rng, 4)
-        with pytest.raises(ValueError, match="at least one problem"):
-            anneal_many([], [])
-        with pytest.raises(ValueError, match="share sweeps and reads"):
-            anneal_many([q, q], [AnnealSchedule(5, 3), AnnealSchedule(6, 3)])
-        with pytest.raises(ValueError, match="share sweeps and reads"):
-            anneal_many([q, q], [AnnealSchedule(5, 3), AnnealSchedule(5, 4)])
-        with pytest.raises(ValueError, match="at least one variable"):
-            anneal_many([q, QuboProblem(0, {})], [AnnealSchedule(5, 3)] * 2)
-        with pytest.raises(ValueError, match="one schedule per problem"):
-            anneal_many([q, q], [AnnealSchedule(5, 3)])
-
-
-def both_step_loops(problems, schedules, monkeypatch):
-    """Results of the compiled step loop, then of the numpy one."""
-    native_kernel()
-    native = anneal_many(problems, schedules)
-    monkeypatch.setattr(annealer_mod, "_step_kernel", None)
-    return native, anneal_many(problems, schedules)
-
-
-class TestStepLoops:
-    def test_native_matches_numpy_on_reference_blocked_batch(self, monkeypatch):
+    def test_native_matches_numpy_on_reference_block_sizes(self, monkeypatch):
         # The occupation blocks of one reference AQAE sample time: 3 blocks
         # of 12 states, 3 of 6, 6 of 4 and 3 of 1 give these QUBO sizes.
         rng = np.random.default_rng(9)
@@ -294,13 +248,13 @@ class TestStepLoops:
             assert_same_result(native, reference)
 
     def test_no_compiler_falls_back_to_numpy_silently(self, rng, monkeypatch):
-        problems, schedules = TestAnnealMany()._batch(rng, 20)
-        expected = anneal_many(problems, schedules)
+        problems, schedules = mixed_corpus(rng, 20)
+        expected = [anneal(q, s) for q, s in zip(problems, schedules)]
         monkeypatch.setattr(annealer_mod, "_step_kernel", annealer_mod._UNBUILT)
         monkeypatch.setattr(annealer_mod.shutil, "which", lambda name: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = anneal_many(problems, schedules)
+            got = [anneal(q, s) for q, s in zip(problems, schedules)]
         assert annealer_mod._step_kernel is None
         for a, b in zip(got, expected):
             assert_same_result(a, b)
@@ -310,13 +264,13 @@ class TestStepLoops:
         failing = shutil.which("false")
         if failing is None:
             pytest.skip("no false(1) on PATH")
-        problems, schedules = TestAnnealMany()._batch(rng, 5)
-        expected = anneal_many(problems, schedules)
+        problems, schedules = mixed_corpus(rng, 5)
+        expected = [anneal(q, s) for q, s in zip(problems, schedules)]
         monkeypatch.setattr(annealer_mod, "_step_kernel", annealer_mod._UNBUILT)
         monkeypatch.setattr(annealer_mod.shutil, "which", lambda name: failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = anneal_many(problems, schedules)
+            got = [anneal(q, s) for q, s in zip(problems, schedules)]
         assert annealer_mod._step_kernel is None
         for a, b in zip(got, expected):
             assert_same_result(a, b)

@@ -7,7 +7,7 @@ import pytest
 from helpers import reference_config
 
 import nuanneal.aqae as aqae_mod
-from nuanneal.annealer import AnnealResult
+from nuanneal.annealer import AnnealResult, anneal
 from nuanneal.aqae import (
     CONVERGENCE_WINDOW,
     AqaeConfig,
@@ -232,6 +232,30 @@ class TestRunAqaeBlocked:
         live = [rep.occupation for rep in result.block_reports[0] if not rep.skipped]
         assert sorted(cut) == sorted(live) and len(live) >= 2
 
+    def test_each_live_block_is_one_run_aqae_and_each_pass_one_anneal(self, monkeypatch):
+        # The benchmark tracer's aqae.run and annealer.anneal spans wrap
+        # these two names of nuanneal.aqae.
+        runs, anneals = [], []
+
+        def counting_run(h, *args, **kwargs):
+            runs.append(h.matrix.shape[0])
+            return run_aqae(h, *args, **kwargs)
+
+        def counting_anneal(q, s):
+            anneals.append(q.size)
+            return anneal(q, s)
+
+        monkeypatch.setattr(aqae_mod, "run_aqae", counting_run)
+        monkeypatch.setattr(aqae_mod, "anneal", counting_anneal)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=3, reads=8, sweeps=16, max_rewinds=0, seed=1)
+        times = [1e11, 2e11]
+        result = run_aqae_blocked(cfg.spec, cfg.initial, None, times, acfg)
+        live = [rep.size for rep in result.block_reports[0] if not rep.skipped]
+        assert len(live) >= 2
+        assert runs == live * len(times)
+        assert len(anneals) == len(runs) * 2 * acfg.max_zoom
+
     def test_zero_weight_blocks_skipped(self):
         # A mass-basis product state occupies exactly one block.
         cfg = reference_config(
@@ -295,17 +319,17 @@ class TestRunAqaeBlocked:
         assert ran >= 2
 
     def test_errors_carry_block_identity(self, monkeypatch):
-        def exploding_anneal_many(problems, schedules):
+        def exploding_anneal(q, s):
             raise RuntimeError("annealer exploded")
 
-        monkeypatch.setattr(aqae_mod, "anneal_many", exploding_anneal_many)
+        monkeypatch.setattr(aqae_mod, "anneal", exploding_anneal)
         cfg = reference_config(2, 3, initial=("e", "mu"))
         with pytest.raises(RuntimeError, match="block"):
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
 
     def test_one_failing_block_is_named(self, monkeypatch):
-        # Block (1, 0, 1) fails mid-run, after its other blocks have been
-        # annealed alongside it for a few rounds.
+        # Block (1, 0, 1) fails mid-run, at its fourth pass, after the blocks
+        # before it have finished.
         target = next(i for i, b in enumerate(mass_blocks(3, 2)) if b.occupation == (1, 0, 1))
         doomed = _derived_seed(CFG.seed, 0, target)
         real_seed = aqae_mod._derived_seed
