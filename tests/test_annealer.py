@@ -224,6 +224,57 @@ class TestStepLoops:
                 assert np.array_equal(res.all_read_energies, energies)
                 assert np.array_equal(res.best_bits, best_bits)
 
+    @pytest.mark.usefixtures("step_loop")
+    @pytest.mark.parametrize("sweeps", [0, 1, 2, 40])
+    def test_one_sweep_buffer_matches_default_without_warnings(self, rng, sweeps, monkeypatch):
+        # Sizes 1 to 24 and both beta sources; a one-sweep buffer refills at
+        # every sweep, so each refill must start from fresh thresholds.
+        problems, schedules = mixed_corpus(rng, sweeps)
+        expected = [anneal(q, s) for q, s in zip(problems, schedules)]
+        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [anneal(q, s) for q, s in zip(problems, schedules)]
+        for a, b in zip(got, expected):
+            assert_same_result(a, b)
+
+    @pytest.mark.usefixtures("step_loop")
+    def test_results_do_not_depend_on_call_order(self, rng):
+        # No state carries over from one anneal call to the next.
+        problems, schedules = mixed_corpus(rng, 30)
+        forward = [anneal(q, s) for q, s in zip(problems, schedules)]
+        backward = [anneal(q, s) for q, s in zip(problems[::-1], schedules[::-1])][::-1]
+        for a, b in zip(forward, backward):
+            assert_same_result(a, b)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda arrays: {**arrays, "visits": arrays["visits"].astype(np.int32)}, "C-contiguous"),
+            (lambda arrays: {**arrays, "quad": np.asfortranarray(arrays["quad"])}, "C-contiguous"),
+            (lambda arrays: {**arrays, "lin": arrays["lin"][:-1].copy()}, "disagree in shape"),
+        ],
+        ids=["int32-visits", "fortran-quad", "short-lin"],
+    )
+    def test_native_steps_check_arrays_before_the_call(self, rng, spoil, message):
+        # The C loop reads raw pointers, so a bad array must stop before it.
+        n, reads, sweeps = 4, 3, 2
+        quad = rng.normal(size=(n, n))
+        arrays = {
+            "thresholds": rng.random((sweeps, n, reads)),
+            "visits": np.tile(np.arange(n, dtype=np.intp), (sweeps, 1)),
+            "lin": rng.normal(size=n),
+            "quad": quad + quad.T,
+            "spins": np.ones((n, reads)),
+            "fields": np.zeros((n, reads)),
+        }
+
+        def kernel(*args):
+            raise AssertionError("the step loop ran on unchecked arrays")
+
+        with pytest.raises(ValueError, match=message):
+            annealer_mod._native_steps(kernel, **spoil(arrays))
+
     def test_native_matches_numpy_on_reference_block_sizes(self, monkeypatch):
         # The occupation blocks of one reference AQAE sample time: 3 blocks
         # of 12 states, 3 of 6, 6 of 4 and 3 of 1 give these QUBO sizes.
