@@ -26,7 +26,6 @@ from .clock import (
     QuboProblem,
     build_clock,
     build_qubo,
-    digitize_value,
     real_embed,
 )
 from .config import ConfigError, ExperimentConfig, load_config
@@ -37,9 +36,7 @@ from .hamiltonians import (
     Statistics,
     SystemSpec,
     anisotropic_angles,
-    b_vector_from_masses,
     b_vector_preset,
-    b_vector_two_flavor,
     build_dirac_hamiltonian,
     build_hamiltonian,
     restrict_to_block,
@@ -50,7 +47,6 @@ from .witnesses import (
     dominant_frequency,
     entanglement_entropy,
     negativity,
-    reduced_density_single,
 )
 
 __version__ = "0.1.0"

@@ -306,8 +306,15 @@ def run_aqae_blocked(
     back before the witnesses are computed.  Each live block is one
     :func:`run_aqae` call, seeded from (config seed, time index, block
     index).  ``dt`` selects the clock step size (``None`` evolves each time
-    in a single step).
+    in a single step).  A negative time or a ``dt`` that is not positive
+    raises ValueError before any block is annealed.  Nothing is
+    renormalised: a reassembled state whose norm drifts from 1 by more than
+    1e-12 raises ValueError.
     """
+    if any(t < 0 for t in times):
+        raise ValueError("sample times must be non-negative")
+    if dt is not None and dt <= 0:
+        raise ValueError(f"dt must be positive when set, got {dt}")
     if not conserves_occupations(spec):
         raise ValueError(
             "blocked AQAE requires an all-neutrino Dirac system with one-body vectors on the "
@@ -330,12 +337,7 @@ def run_aqae_blocked(
     reports: list[WitnessReport] = []
     block_reports: list[list[BlockRunReport]] = []
     for t_idx, t in enumerate(times):
-        if t < 0:
-            raise ValueError("sample times must be non-negative")
-        if dt is not None and dt > 0:
-            steps = max(1, round(t / dt))
-        else:
-            steps = 1
+        steps = max(1, round(t / dt)) if dt is not None else 1
         step_dt = t / steps if t > 0 else 0.0
         per_block = [BlockRunReport(b.occupation, b.size, w, True) for b, w in zip(blocks, weights)]
         assembled = np.zeros(spec.dim, dtype=complex)
@@ -362,7 +364,6 @@ def run_aqae_blocked(
                 final_energy=res.energy_history[-1],
                 overlap=overlap,
             )
-        assembled /= np.linalg.norm(assembled)
         mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)
         flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)
         reports.append(compute_witnesses(flavor_state, time=t))

@@ -163,14 +163,6 @@ def digit_weights(params: DigitizationParams) -> np.ndarray:
     return w
 
 
-def digitize_value(bits: np.ndarray | list[int], params: DigitizationParams, prior: float = 0.0) -> float:
-    """Amplitude reconstructed from K bits around a prior estimate."""
-    bits = np.asarray(bits, dtype=float)
-    if bits.shape != (params.k_bits,):
-        raise ValueError(f"expected {params.k_bits} bits, got shape {bits.shape}")
-    return float(prior + bits @ digit_weights(params))
-
-
 def apply_bit_updates(prior: np.ndarray, bits: np.ndarray, params: DigitizationParams) -> np.ndarray:
     """Apply slot-major bit updates to a real amplitude vector.
 

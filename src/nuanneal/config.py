@@ -145,8 +145,13 @@ def _resolve_species(system: dict, n_modes: int) -> tuple[Species, ...]:
     return tuple(Species(_choice(x, f"system.species[{i}]", names)) for i, x in enumerate(raw))
 
 
-def build_system_spec(system: dict) -> SystemSpec:
-    """Resolve the ``system`` section into a :class:`SystemSpec`."""
+def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
+    """Resolve the ``system`` section into a :class:`SystemSpec`.
+
+    Also returns the per-mode ``energy_ev``, ``delta_m2_ev2`` and
+    ``big_delta_m2_ev2`` the one-body vectors are derived from; no
+    Hamiltonian reads them, only the provenance header.
+    """
     system = _mapping(system, "system", SYSTEM_KEYS)
     n_modes = _number(system.get("n_modes"), "system.n_modes", int, 1)
     nf = _number(system.get("nf"), "system.nf", int)
@@ -190,22 +195,20 @@ def build_system_spec(system: dict) -> SystemSpec:
         system.get("interaction_only", DEFAULTS["interaction_only"]), "system.interaction_only"
     )
     try:
-        return SystemSpec(
+        spec = SystemSpec(
             n_modes=n_modes,
             nf=nf,
             pmns=pmns,
             coupling_k=k_ev,
             angles=angles,
             b_vector=b_rows,
-            energies=energies,
-            delta_m2=delta_m2,
-            big_delta_m2=big_delta_m2,
             species=species,
             statistics=statistics,
             interaction_only=interaction_only,
         )
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
+    return spec, {"energy_ev": energies.tolist(), "delta_m2_ev2": delta_m2, "big_delta_m2_ev2": big_delta_m2}
 
 
 def _resolve_times(raw) -> list[float]:
@@ -316,6 +319,8 @@ class ExperimentConfig:
     raw: dict
     seed: int
     spec: SystemSpec
+    # energy_ev, delta_m2_ev2 and big_delta_m2_ev2 as resolved; only resolved() reads them.
+    b_vector_inputs: dict
     initial: StateVector | None
     times: list[float]
     aqae: AqaeConfig
@@ -329,9 +334,7 @@ class ExperimentConfig:
         system = {
             "n_modes": spec.n_modes,
             "nf": spec.nf,
-            "energy_ev": spec.energies.tolist() if spec.energies is not None else None,
-            "delta_m2_ev2": spec.delta_m2,
-            "big_delta_m2_ev2": spec.big_delta_m2,
+            **self.b_vector_inputs,
             "theta12": spec.pmns.theta12,
             "theta13": spec.pmns.theta13,
             "theta23": spec.pmns.theta23,
@@ -372,7 +375,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if "system" not in raw:
         raise ConfigError("system: required")
     seed = _number(seed_override if seed_override is not None else raw.get("seed", 0), "seed", int, 0)
-    spec = build_system_spec(raw["system"])
+    spec, b_vector_inputs = build_system_spec(raw["system"])
     initial = _resolve_initial(raw["initial_state"], spec) if "initial_state" in raw else None
     times = _resolve_times(raw["times"]) if "times" in raw else []
     aqae_cfg, aqae_dt = build_aqae_config(raw.get("aqae"), seed)
@@ -380,6 +383,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         raw=raw,
         seed=seed,
         spec=spec,
+        b_vector_inputs=b_vector_inputs,
         initial=initial,
         times=times,
         aqae=aqae_cfg,

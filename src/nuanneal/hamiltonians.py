@@ -55,57 +55,32 @@ def anisotropic_angles(xi: float, n_modes: int) -> np.ndarray:
     return math.acos(xi) * np.abs(idx[:, None] - idx[None, :]) / (n_modes - 1)
 
 
-def b_vector_from_masses(delta_m2: float, big_delta_m2: float, energy: float) -> np.ndarray:
-    """Three-flavor one-body coefficient vector in the ultrarelativistic limit.
-
-    Only the two diagonal generators contribute:
-    component 3 is -delta_m2 / (4 E) and component 8 is
-    -big_delta_m2 / (2 sqrt(3) E).
-    """
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    b = np.zeros(8)
-    b[2] = -delta_m2 / (4.0 * energy)
-    b[7] = -big_delta_m2 / (2.0 * math.sqrt(3.0) * energy)
-    return b
-
-
-def b_vector_two_flavor(big_delta_m2: float, energy: float) -> np.ndarray:
-    """Two-flavor one-body coefficient vector: (0, 0, -big_delta_m2 / (4 E))."""
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    return np.array([0.0, 0.0, -big_delta_m2 / (4.0 * energy)])
-
-
 B_VECTOR_CHOICES = ("appendixA", "zero", "third", "pdg_review")
 
 
 def b_vector_preset(choice: str, nf: int, delta_m2: float, big_delta_m2: float, energy: float) -> np.ndarray:
-    """One of the four named one-body coefficient vectors.
+    """One of the four named one-body coefficient vectors at one energy.
 
-    "appendixA" is the ultrarelativistic derivation, "zero" switches the
-    one-body term off, "third" is the same as "appendixA" scaled by 1/3, and
-    "pdg_review" replaces the second component's 1/(2 sqrt(3)) by 1/4.  For
-    nf=2 the distinction collapses to a scale on the single z component.
+    "appendixA" is the ultrarelativistic derivation.  For nf=3 only the two
+    diagonal generators contribute: component 3 is -delta_m2 / (4 E) and
+    component 8 is -big_delta_m2 / (2 sqrt(3) E).  For nf=2 it is
+    (0, 0, -big_delta_m2 / (4 E)).  "zero" switches the one-body term off,
+    "third" is "appendixA" scaled by 1/3, and "pdg_review" replaces
+    component 8's 1/(2 sqrt(3)) by 1/4; for nf=2 it equals "appendixA".
     """
     if choice not in B_VECTOR_CHOICES:
         raise ValueError(f"unknown b_vector choice {choice!r}; valid: {B_VECTOR_CHOICES}")
+    if energy <= 0:
+        raise ValueError(f"energy must be positive, got {energy}")
     if nf == 2:
-        base = b_vector_two_flavor(big_delta_m2, energy)
-        if choice == "zero":
-            return np.zeros(3)
-        if choice == "third":
-            return base / 3.0
-        return base
-    b = b_vector_from_masses(delta_m2, big_delta_m2, energy)
+        b = np.array([0.0, 0.0, -big_delta_m2 / (4.0 * energy)])
+    else:
+        b = np.zeros(8)
+        b[2] = -delta_m2 / (4.0 * energy)
+        b[7] = -big_delta_m2 / ((4.0 if choice == "pdg_review" else 2.0 * math.sqrt(3.0)) * energy)
     if choice == "zero":
-        return np.zeros(8)
-    if choice == "third":
-        return b / 3.0
-    if choice == "pdg_review":
-        b = b.copy()
-        b[7] = -big_delta_m2 / (4.0 * energy)
-    return b
+        return np.zeros_like(b)
+    return b / 3.0 if choice == "third" else b
 
 
 @dataclass
@@ -118,9 +93,6 @@ class SystemSpec:
     coupling_k: float
     angles: np.ndarray
     b_vector: np.ndarray
-    energies: np.ndarray | None = None
-    delta_m2: float = 0.0
-    big_delta_m2: float = 0.0
     species: tuple[Species, ...] = ()
     statistics: Statistics = Statistics.DIRAC
     interaction_only: bool = False
@@ -158,12 +130,6 @@ class SystemSpec:
                 f"b_vector must have shape ({n_gen},) or ({self.n_modes}, {n_gen}), got {b.shape}"
             )
         self.b_vector = b
-        if self.energies is not None:
-            self.energies = np.atleast_1d(np.asarray(self.energies, dtype=float))
-            if self.energies.shape == (1,):
-                self.energies = np.repeat(self.energies, self.n_modes)
-            if self.energies.shape != (self.n_modes,):
-                raise ValueError("energies must list one value per mode")
 
     @property
     def dim(self) -> int:

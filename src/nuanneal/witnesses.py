@@ -31,14 +31,9 @@ def reduced_density(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
     return rho.reshape(d, d)
 
 
-def reduced_density_single(state: StateVector, mode: int) -> np.ndarray:
-    """One-mode reduced density matrix; trace 1, positive semidefinite."""
-    return reduced_density(state, (mode,))
-
-
 def entanglement_entropy(state: StateVector, mode: int) -> float:
     """Von Neumann entropy of one mode, in bits, clamped to [0, log2(nf)]."""
-    rho = reduced_density_single(state, mode)
+    rho = reduced_density(state, (mode,))
     evals = np.linalg.eigvalsh(rho)
     if np.min(evals) < -EIGENVALUE_FLOOR:
         raise ValueError(f"reduced density matrix has eigenvalue {np.min(evals):.3e} < 0")

@@ -256,6 +256,41 @@ class TestRunAqaeBlocked:
         assert runs == live * len(times)
         assert len(anneals) == len(runs) * 2 * acfg.max_zoom
 
+    @pytest.mark.parametrize(
+        "times, dt",
+        [([1.1e12, -1.0], None), ([1.1e12], 0.0), ([1.1e12], -1e11)],
+        ids=["negative-time", "zero-dt", "negative-dt"],
+    )
+    def test_rejects_bad_times_and_dt_before_annealing(self, monkeypatch, times, dt):
+        anneals = []
+
+        def counting_anneal(q, s):
+            anneals.append(q.size)
+            return anneal(q, s)
+
+        monkeypatch.setattr(aqae_mod, "anneal", counting_anneal)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        with pytest.raises(ValueError, match="sample times|dt"):
+            run_aqae_blocked(cfg.spec, cfg.initial, dt, times, CFG)
+        assert anneals == []
+
+    def test_norm_drift_raises_instead_of_being_renormalised(self, monkeypatch):
+        # The first live block comes back with 1e-9 too much norm, far past
+        # the 1e-12 bound on the reassembled state.
+        calls = []
+
+        def drifting_run(*args, **kwargs):
+            res = run_aqae(*args, **kwargs)
+            calls.append(res)
+            return replace(res, amplitudes=(1.0 + 1e-9) * res.amplitudes) if len(calls) == 1 else res
+
+        monkeypatch.setattr(aqae_mod, "run_aqae", drifting_run)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=3, reads=8, sweeps=16, seed=1)
+        with pytest.raises(ValueError, match="deviates from 1"):
+            run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], acfg)
+        assert len(calls) >= 2
+
     def test_zero_weight_blocks_skipped(self):
         # A mass-basis product state occupies exactly one block.
         cfg = reference_config(

@@ -14,7 +14,6 @@ from nuanneal.clock import (
     build_clock,
     build_qubo,
     digit_weights,
-    digitize_value,
     embed_state,
     real_embed,
     unembed_state,
@@ -135,25 +134,26 @@ class TestRealEmbed:
 
 
 class TestDigitization:
+    # One-slot cases of apply_bit_updates: one amplitude, K bits.
     def test_all_zero_bits_keep_prior(self):
         p = DigitizationParams(k_bits=3, zoom=2)
-        assert digitize_value([0, 0, 0], p, prior=0.375) == 0.375
+        assert apply_bit_updates([0.375], [0, 0, 0], p).tolist() == [0.375]
 
     def test_two_bit_values_at_zoom_zero(self):
         p = DigitizationParams(k_bits=2, zoom=0)
-        assert digitize_value([1, 0], p) == 0.5
-        assert digitize_value([0, 1], p) == -2.0
+        assert apply_bit_updates([0.0], [1, 0], p).tolist() == [0.5]
+        assert apply_bit_updates([0.0], [0, 1], p).tolist() == [-2.0]
 
     def test_reverse_negates_updates(self):
         p = DigitizationParams(k_bits=2, zoom=0, direction=Direction.REVERSE)
-        assert digitize_value([0, 1], p) == 2.0
-        assert digitize_value([1, 0], p) == -0.5
+        assert apply_bit_updates([0.0], [0, 1], p).tolist() == [2.0]
+        assert apply_bit_updates([0.0], [1, 0], p).tolist() == [-0.5]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_zoom_zero_range(self, k):
         p = DigitizationParams(k_bits=k, zoom=0)
         values = [
-            digitize_value(bits, p)
+            apply_bit_updates([0.0], bits, p)[0]
             for bits in itertools.product((0, 1), repeat=k)
         ]
         assert min(values) == -2.0
@@ -179,7 +179,7 @@ class TestDigitization:
         with pytest.raises(ValueError):
             DigitizationParams(k_bits=1, zoom=-1)
         with pytest.raises(ValueError):
-            digitize_value([0, 1, 0], DigitizationParams(k_bits=2))
+            apply_bit_updates([0.0], [0, 1, 0], DigitizationParams(k_bits=2))
 
 
 class TestBuildQubo:

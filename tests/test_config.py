@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 from nuanneal.clock import Direction
-from nuanneal.config import BenchConfig, ConfigError, QuboConfig, load_config, resolve_config
-from nuanneal.hamiltonians import Species, Statistics
+from nuanneal.config import DEFAULTS, BenchConfig, ConfigError, QuboConfig, load_config, resolve_config
+from nuanneal.hamiltonians import Species, Statistics, b_vector_preset
 
 README = Path(__file__).parent.parent / "README.md"
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
@@ -65,6 +65,12 @@ class TestResolveConfig:
     def test_per_mode_energies(self):
         cfg = resolve_config({"system": {"n_modes": 2, "nf": 3, "energy_ev": [1e7, 2e7]}})
         assert cfg.spec.b_vector[1][2] == pytest.approx(cfg.spec.b_vector[0][2] / 2.0)
+        # The header records the energies and splittings the vectors came from.
+        system = cfg.resolved()["system"]
+        dm2, big_dm2 = DEFAULTS["delta_m2_ev2"], DEFAULTS["big_delta_m2_ev2"]
+        assert system["energy_ev"] == [1e7, 2e7]
+        assert (system["delta_m2_ev2"], system["big_delta_m2_ev2"]) == (dm2, big_dm2)
+        assert system["b_vector"] == [b_vector_preset("appendixA", 3, dm2, big_dm2, e).tolist() for e in (1e7, 2e7)]
 
     def test_aqae_section(self):
         cfg = resolve_config(minimal(aqae={"k_bits": 2, "max_zoom": 7, "dt": 1e11}))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from nuanneal.basis import GELL_MANN, BasisTag, mass_blocks, pmns_matrix
 from nuanneal.hamiltonians import (
+    B_VECTOR_CHOICES,
     HamiltonianMatrix,
     SystemSpec,
     anisotropic_angles,
-    b_vector_from_masses,
     b_vector_preset,
-    b_vector_two_flavor,
     build_dirac_hamiltonian,
     build_hamiltonian,
     check_hermitian,
@@ -51,30 +51,31 @@ class TestAnisotropicAngles:
 
 class TestBVector:
     def test_zero_splittings(self):
-        np.testing.assert_array_equal(b_vector_from_masses(0.0, 0.0, 1.0), np.zeros(8))
+        np.testing.assert_array_equal(b_vector_preset("appendixA", 3, 0.0, 0.0, 1.0), np.zeros(8))
+        np.testing.assert_array_equal(b_vector_preset("appendixA", 2, 0.0, 0.0, 1.0), np.zeros(3))
 
     def test_reference_components(self):
-        b = b_vector_from_masses(7.42e-5, 2.44e-3, 1e7)
+        b = b_vector_preset("appendixA", 3, 7.42e-5, 2.44e-3, 1e7)
         assert b[2] == pytest.approx(-1.855e-12, rel=1e-12)
         assert b[7] == pytest.approx(-2.44e-3 / (2.0 * math.sqrt(3.0) * 1e7), rel=1e-14)
         assert np.count_nonzero(b) == 2
+        two = b_vector_preset("appendixA", 2, 7.42e-5, 2.44e-3, 1e7)
+        np.testing.assert_array_equal(two, [0.0, 0.0, -2.44e-3 / (4.0 * 1e7)])
 
     def test_halves_when_energy_doubles(self):
-        b1 = b_vector_from_masses(7.42e-5, 2.44e-3, 1e7)
-        b2 = b_vector_from_masses(7.42e-5, 2.44e-3, 2e7)
-        np.testing.assert_allclose(b2, b1 / 2.0, rtol=1e-14)
+        for nf in (2, 3):
+            b1 = b_vector_preset("appendixA", nf, 7.42e-5, 2.44e-3, 1e7)
+            b2 = b_vector_preset("appendixA", nf, 7.42e-5, 2.44e-3, 2e7)
+            np.testing.assert_allclose(b2, b1 / 2.0, rtol=1e-14)
 
     def test_rejects_non_positive_energy(self):
-        with pytest.raises(ValueError):
-            b_vector_from_masses(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            b_vector_two_flavor(1.0, -1.0)
+        # Every choice checks the energy, "zero" included.
+        for choice, nf, energy in itertools.product(B_VECTOR_CHOICES, (2, 3), (0.0, -1.0)):
+            with pytest.raises(ValueError, match="energy must be positive"):
+                b_vector_preset(choice, nf, 1.0, 1.0, energy)
 
     def test_presets(self):
-        base = b_vector_from_masses(7.42e-5, 2.44e-3, 1e7)
-        np.testing.assert_array_equal(
-            b_vector_preset("appendixA", 3, 7.42e-5, 2.44e-3, 1e7), base
-        )
+        base = b_vector_preset("appendixA", 3, 7.42e-5, 2.44e-3, 1e7)
         np.testing.assert_array_equal(b_vector_preset("zero", 3, 7.42e-5, 2.44e-3, 1e7), np.zeros(8))
         np.testing.assert_allclose(
             b_vector_preset("third", 3, 7.42e-5, 2.44e-3, 1e7), base / 3.0, rtol=1e-15
@@ -82,6 +83,11 @@ class TestBVector:
         pdg = b_vector_preset("pdg_review", 3, 7.42e-5, 2.44e-3, 1e7)
         assert pdg[7] == pytest.approx(-2.44e-3 / (4.0 * 1e7), rel=1e-14)
         assert pdg[2] == base[2]
+        # For nf=2 the choices differ only by a scale on the z component.
+        two = b_vector_preset("appendixA", 2, 7.42e-5, 2.44e-3, 1e7)
+        np.testing.assert_array_equal(b_vector_preset("zero", 2, 7.42e-5, 2.44e-3, 1e7), np.zeros(3))
+        np.testing.assert_array_equal(b_vector_preset("third", 2, 7.42e-5, 2.44e-3, 1e7), two / 3.0)
+        np.testing.assert_array_equal(b_vector_preset("pdg_review", 2, 7.42e-5, 2.44e-3, 1e7), two)
         with pytest.raises(ValueError):
             b_vector_preset("bogus", 3, 1.0, 1.0, 1.0)
 

@@ -23,7 +23,7 @@ from nuanneal.witnesses import (
     dominant_frequency,
     entanglement_entropy,
     negativity,
-    reduced_density_single,
+    reduced_density,
 )
 
 
@@ -42,20 +42,20 @@ def bell_pair():
 class TestReducedDensity:
     def test_product_state_is_pure_projector(self):
         state = flavor_state(("e", "mu"), 3)
-        rho = reduced_density_single(state, 0)
+        rho = reduced_density(state, (0,))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(rho, expected)
 
     def test_bell_pair_is_maximally_mixed(self):
-        rho = reduced_density_single(bell_pair(), 0)
+        rho = reduced_density(bell_pair(), (0,))
         np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
     def test_matches_index_sum_oracle(self, rng):
         for _ in range(5):
             state = random_state(rng, 3, 3)
             for mode in range(3):
-                got = reduced_density_single(state, mode)
+                got = reduced_density(state, (mode,))
                 expected = rdm_oracle(state.amplitudes, (mode,), 3, 3)
                 np.testing.assert_allclose(got, expected, atol=1e-13)
                 assert abs(np.trace(got) - 1.0) < 1e-12
@@ -63,7 +63,7 @@ class TestReducedDensity:
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            reduced_density_single(bell_pair(), 2)
+            reduced_density(bell_pair(), (2,))
 
 
 class TestEntanglementEntropy:
