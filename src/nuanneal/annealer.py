@@ -18,7 +18,10 @@ ctypes.  The numpy loop is the reference, and it runs whenever there is no
 compiler or the build fails.  Both read the same visits and thresholds and do
 the same arithmetic: dE = (field + lin) * spin, a flip when dE is below the
 threshold, and field updates by products with a flip of -1, 0 or +1, which
-are exact; the C build turns off floating-point contraction.
+are exact; the C build turns off floating-point contraction.  The C loop
+updates the fields of only the reads that flip, where numpy adds quad * 0 to
+the rest.  That can change only the sign of a field that is exactly zero,
+and +0 and -0 give the same comparison against every threshold.
 
 Determinism contract: a problem of size m draws everything from one
 generator, ``default_rng(seed)`` of its schedule, in this order:
@@ -89,6 +92,10 @@ class AnnealSchedule:
         if (self.beta_start is None) != (self.beta_end is None):
             raise ValueError("set both beta_start and beta_end or neither")
         if self.beta_start is not None:
+            # An infinite beta makes the geometric ramp NaN, and a NaN
+            # threshold accepts no flip at all.
+            if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
+                raise ValueError("betas must be finite")
             if not 0 < self.beta_start <= self.beta_end:
                 raise ValueError("betas must satisfy beta_end >= beta_start > 0")
 
@@ -187,16 +194,17 @@ def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:
 def _native_steps(kernel, thresholds, visits, lin, quad, spins, fields) -> None:
     """:func:`_numpy_steps` in compiled code, bit for bit."""
     n, reads = spins.shape
-    flip = np.empty(reads)
-    arrays = (visits, thresholds, lin, quad, spins, fields, flip)
-    # The C loop reads raw pointers: one index array, then six of doubles.
-    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 6 or not all(
+    flipped = np.empty(reads, np.intp)
+    arrays = (visits, thresholds, lin, quad, spins, fields, flipped)
+    # The C loop reads raw pointers: one index array, five of doubles, and
+    # the index buffer of the reads that flip at a visit.
+    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 5 + [np.intp] or not all(
         a.flags.c_contiguous for a in arrays
     ):
         raise ValueError("step-loop arrays must be C-contiguous intp and float64 arrays")
-    shapes = [a.shape for a in arrays[:-1]]
+    shapes = [a.shape for a in arrays]
     sweeps = len(visits)
-    if shapes != [(sweeps, n), (sweeps, n, reads), (n,), (n, n), (n, reads), (n, reads)]:
+    if shapes != [(sweeps, n), (sweeps, n, reads), (n,), (n, n), (n, reads), (n, reads), (reads,)]:
         raise ValueError("step-loop arrays disagree in shape")
     kernel(visits.size, n, reads, *(a.ctypes.data for a in arrays))
 

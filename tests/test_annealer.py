@@ -51,6 +51,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=1, reads=1, seed=-3)
 
+    @pytest.mark.parametrize(
+        "betas",
+        [(1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan)],
+        ids=["end-inf", "both-inf", "start-nan", "end-nan"],
+    )
+    def test_rejects_non_finite_betas(self, betas):
+        # An infinite beta_end once passed and made the whole ramp NaN, so no
+        # flip was ever accepted.
+        with pytest.raises(ValueError, match="betas must be finite"):
+            AnnealSchedule(sweeps=50, reads=4, beta_start=betas[0], beta_end=betas[1])
+
     def test_default_beta_range_ordering(self, rng):
         q = random_qubo(rng, 8)
         lo, hi = default_beta_range(q)
@@ -297,6 +308,55 @@ class TestStepLoops:
             [native], [reference] = both_step_loops([q], [s], monkeypatch)
             monkeypatch.undo()
             assert_same_result(native, reference)
+
+    def test_native_matches_numpy_on_n6_block_sizes(self, monkeypatch):
+        # The largest QUBOs of one N=6 blocked sample time have 180 and 96
+        # live bits; AQAE anneals them with 48 reads and 96 sweeps.
+        rng = np.random.default_rng(6)
+        problems = [random_qubo(rng, n) for n in (180, 96)]
+        schedules = [AnnealSchedule(96, 48, seed=1), AnnealSchedule(96, 48, 0.2, 6.0, seed=2)]
+        for a, b in zip(*both_step_loops(problems, schedules, monkeypatch)):
+            assert_same_result(a, b)
+
+    @pytest.mark.parametrize(
+        "betas", [None, (1e-300, 1e-300), (1e300, 1e300)], ids=["default", "tiny", "huge"]
+    )
+    def test_native_matches_numpy_where_fields_are_exactly_zero(self, monkeypatch, betas):
+        # The C loop leaves the fields of reads that do not flip untouched,
+        # where numpy adds quad * 0 to them.  Integer couplings and some zero
+        # lin[v] make fields, and so energy changes, exactly zero.
+        rng = np.random.default_rng(12)
+        problems = []
+        for n in (3, 9, 20):
+            coeffs = {(i, j): float(rng.integers(-3, 4)) for i in range(n) for j in range(i, n)}
+            coeffs.update({(i, i): 0.0 for i in range(0, n, 3)})
+            problems.append(QuboProblem(n, coeffs))
+        schedules = [AnnealSchedule(40, 33, *(betas or (None, None)), seed=k) for k in range(len(problems))]
+
+        # Run the numpy loop one visit at a time and record, before each
+        # visit, every read's field, energy change and whether it flips.
+        visits_seen = []
+        numpy_steps = annealer_mod._numpy_steps
+
+        def census_steps(thresholds, visits, lin, quad, spins, fields):
+            for s, t in np.ndindex(visits.shape):
+                v = visits[s, t]
+                delta_e = (fields[v] + lin[v]) * spins[v]
+                visits_seen.append((fields[v] == 0.0, delta_e, delta_e < thresholds[s, t]))
+                one = np.s_[s : s + 1, t : t + 1]
+                numpy_steps(thresholds[one], visits[one], lin, quad, spins, fields)
+
+        monkeypatch.setattr(annealer_mod, "_numpy_steps", census_steps)
+        for a, b in zip(*both_step_loops(problems, schedules, monkeypatch)):
+            assert_same_result(a, b)
+        zero_field, delta_e, accept = (np.concatenate(column) for column in zip(*visits_seen))
+        assert np.count_nonzero(zero_field & (delta_e == 0.0)) > 0  # a zero field where lin[v] is 0
+        if betas == (1e-300, 1e-300):
+            assert accept.all()  # every read flips: the index buffer is full
+        elif betas == (1e300, 1e300):
+            assert not accept[delta_e > 0.0].any()  # only downhill and level flips
+            assert accept[delta_e < 0.0].all()
+            assert not accept.all()
 
     def test_no_compiler_falls_back_to_numpy_silently(self, rng, monkeypatch):
         problems, schedules = mixed_corpus(rng, 20)

@@ -297,8 +297,9 @@ class TestQuboAnnealRoundTrip:
             (["--reads", "0"], "reads must be at least 1"),
             (["--beta-start", "1.0"], "set both beta_start and beta_end or neither"),
             (["--beta-start", "2.0", "--beta-end", "1.0"], "betas must satisfy beta_end >= beta_start > 0"),
+            (["--beta-start", "1", "--beta-end", "inf"], "betas must be finite"),
         ],
-        ids=["sweeps-negative", "reads-zero", "beta-start-alone", "betas-reversed"],
+        ids=["sweeps-negative", "reads-zero", "beta-start-alone", "betas-reversed", "beta-end-infinite"],
     )
     def test_bad_schedule_flag_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         path = tmp_path / "pair.qubo"
