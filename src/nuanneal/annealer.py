@@ -58,6 +58,8 @@ from .clock import QuboProblem
 # Cap on the buffer of acceptance thresholds: a few sweeps of every read.
 _THRESHOLD_BYTES = 1 << 19
 
+_EXHAUSTIVE_LIMIT = 24
+
 # The compiled step loop: _UNBUILT until the first anneal call of the
 # process, then the loaded C function, or None when it cannot be built (the
 # numpy loop runs instead).
@@ -149,10 +151,11 @@ def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     kernel = _native_kernel()
     for s0 in range(0, sweeps, chunk):
         s1 = min(s0 + chunk, sweeps)
-        # Thresholds -ln(u)/beta; u = 0 gives an infinite one, always accepted.
+        # Thresholds -ln(u)/beta; u = 0, or a beta so small that the quotient
+        # overflows, gives an infinite one, always accepted.
         limits = thresholds[: s1 - s0]
         rng.random(out=limits)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             np.log(limits, out=limits)
             limits /= neg_betas[s0:s1, None, None]
         # One step-loop call per chunk: compiled if it was built, else numpy.
@@ -246,10 +249,10 @@ def _build_step_kernel():
     return kernel
 
 
-def exhaustive_minimum(q: QuboProblem, limit: int = 24) -> tuple[np.ndarray, float]:
-    """Brute-force global minimum; refuses problems beyond 2**limit states."""
-    if q.size > limit:
-        raise ValueError(f"exhaustive search over {q.size} variables refused (limit {limit})")
+def exhaustive_minimum(q: QuboProblem) -> tuple[np.ndarray, float]:
+    """Brute-force global minimum; refuses problems beyond 2**_EXHAUSTIVE_LIMIT states."""
+    if q.size > _EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive search over {q.size} variables refused (limit {_EXHAUSTIVE_LIMIT})")
     states = ((np.arange(2**q.size)[:, None] >> np.arange(q.size)) & 1).astype(float)
     energies = states @ q.lin + 0.5 * np.einsum("ri,ri->r", states @ q.quad, states) + q.offset
     best = int(np.argmin(energies))

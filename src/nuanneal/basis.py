@@ -136,10 +136,8 @@ class StateVector:
     def dim(self) -> int:
         return self.nf**self.n_modes
 
-    def with_amplitudes(self, amplitudes: np.ndarray, basis: BasisTag | None = None) -> "StateVector":
-        return StateVector(
-            amplitudes, self.basis if basis is None else basis, self.nf, self.n_modes
-        )
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
+        return StateVector(amplitudes, self.basis, self.nf, self.n_modes)
 
 
 def labels_to_index(digits: tuple[int, ...] | list[int], nf: int) -> int:
@@ -152,12 +150,12 @@ def labels_to_index(digits: tuple[int, ...] | list[int], nf: int) -> int:
     return idx
 
 
-def product_state(digits: list[int] | tuple[int, ...], nf: int, basis: BasisTag = BasisTag.FLAVOR) -> StateVector:
-    """Computational product state |d_0 d_1 ... d_{N-1}>."""
+def product_state(digits: list[int] | tuple[int, ...], nf: int) -> StateVector:
+    """Flavor product state |d_0 d_1 ... d_{N-1}>."""
     n_modes = len(digits)
     amp = np.zeros(nf**n_modes, dtype=complex)
     amp[labels_to_index(tuple(digits), nf)] = 1.0
-    return StateVector(amp, basis, nf, n_modes)
+    return StateVector(amp, BasisTag.FLAVOR, nf, n_modes)
 
 
 def flavor_state(labels: list[str] | tuple[str, ...], nf: int) -> StateVector:
@@ -170,7 +168,7 @@ def flavor_state(labels: list[str] | tuple[str, ...], nf: int) -> StateVector:
             f"unknown flavor label {exc.args[0]!r} for nf={nf}; "
             f"valid labels: {sorted(table)}"
         ) from None
-    return product_state(digits, nf, BasisTag.FLAVOR)
+    return product_state(digits, nf)
 
 
 def apply_mode_unitary(amplitudes: np.ndarray, u: np.ndarray, nf: int, n_modes: int) -> np.ndarray:

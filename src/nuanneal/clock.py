@@ -205,6 +205,12 @@ class QuboProblem:
                 lin[i] = value
             else:
                 quad[i, j] = quad[j, i] = value
+        # A finite bound on every energy and local field the annealer and the
+        # exhaustive search form, so none of them overflows.
+        with np.errstate(over="ignore"):
+            reach = abs(float(offset)) + np.abs(lin).sum() + np.abs(quad).sum()
+        if not math.isfinite(reach):
+            raise ValueError("|offset| + sum |coefficients| overflows a double")
         self.lin, self.quad, self.offset = lin, quad, float(offset)
 
     @classmethod

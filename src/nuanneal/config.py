@@ -2,9 +2,10 @@
 
 The ``system`` section mirrors the physical parameter names (energy_ev,
 delta_m2_ev2, big_delta_m2_ev2, theta12/13/23, delta_cp, k_ev, xi, species,
-statistics, b_vector_choice, interaction_only); omitted entries fall back to
-the reference parameter set below, so swapping the one-body coefficient
-vector or the statistics is a one-key change.
+statistics, b_vector_choice); omitted entries fall back to the reference
+parameter set below, so swapping the one-body coefficient vector or the
+statistics is a one-key change, and ``b_vector_choice: zero`` drops the
+one-body term.
 
 This module alone turns input files into values: every number is read by
 :func:`_number` and every flag by :func:`_flag`, an unknown key is rejected,
@@ -46,13 +47,12 @@ DEFAULTS = {
     "k_ev": 1.75e-12,
     "b_vector_choice": "appendixA",
     "statistics": "dirac",
-    "interaction_only": False,
 }
 
 DEFAULT_XI = 0.9
 DEFAULT_PAIR_ANGLE = math.pi / 4.0
 
-SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "pair_angle", "angles", "species", "b_vector")
+SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "angles", "species", "b_vector")
 AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "max_rewinds")
 AQAE_KEYS = (*AQAE_INTS, "dt")
 
@@ -120,11 +120,6 @@ def _resolve_angles(system: dict, n_modes: int) -> np.ndarray:
                 f"system.angles: expected an {n_modes}x{n_modes} matrix, got shape {angles.shape}"
             )
         return angles
-    if "pair_angle" in system:
-        if n_modes != 2:
-            raise ConfigError("system.pair_angle: only valid for n_modes = 2")
-        a = _number(system["pair_angle"], "system.pair_angle")
-        return np.array([[0.0, a], [a, 0.0]])
     if "xi" in system or n_modes > 2:
         xi = _number(system.get("xi", DEFAULT_XI), "system.xi")
         try:
@@ -191,9 +186,6 @@ def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
         )
     angles = _resolve_angles(system, n_modes)
     species = _resolve_species(system, n_modes)
-    interaction_only = _flag(
-        system.get("interaction_only", DEFAULTS["interaction_only"]), "system.interaction_only"
-    )
     try:
         spec = SystemSpec(
             n_modes=n_modes,
@@ -204,7 +196,6 @@ def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
             b_vector=b_rows,
             species=species,
             statistics=statistics,
-            interaction_only=interaction_only,
         )
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
@@ -344,7 +335,6 @@ class ExperimentConfig:
             "species": [s.value for s in spec.species],
             "statistics": spec.statistics.value,
             "b_vector": spec.b_vector.tolist(),
-            "interaction_only": spec.interaction_only,
         }
         # Every AqaeConfig field but the seed (recorded once, at the top level).
         aqae = {key: v for key, v in asdict(self.aqae).items() if key != "seed"} | {"dt": self.aqae_dt}

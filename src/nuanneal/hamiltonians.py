@@ -95,7 +95,6 @@ class SystemSpec:
     b_vector: np.ndarray
     species: tuple[Species, ...] = ()
     statistics: Statistics = Statistics.DIRAC
-    interaction_only: bool = False
 
     def __post_init__(self):
         if self.nf not in (2, 3):
@@ -243,16 +242,16 @@ def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> Ha
 
     Each pair's (x, y, z) comes from ``_PAIR_FORMS`` by the spec's statistics
     and the two modes' species.  The one-body term is conjugated by the
-    per-mode PMNS matrix in the flavor basis; ``interaction_only`` drops it.
-    Only an all-neutrino Dirac system has a mass-basis form.
+    per-mode PMNS matrix in the flavor basis; an all-zero ``b_vector``
+    (``b_vector_choice: zero``) leaves the interaction term alone.  Only an
+    all-neutrino Dirac system has a mass-basis form.
     """
     if basis is not BasisTag.FLAVOR and not _is_dirac_neutrino(spec):
         raise ValueError(
             "mixed neutrino/antineutrino and Majorana Hamiltonians are only defined in the flavor basis"
         )
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if not spec.interaction_only:
-        _add_one_body(h, spec, basis)
+    _add_one_body(h, spec, basis)
     _add_pairs(h, spec)
     return HamiltonianMatrix(h, basis)
 
@@ -268,11 +267,11 @@ def conserves_occupations(spec: SystemSpec) -> bool:
     """Whether H keeps every mass-eigenstate occupation, i.e. splits into
     occupation blocks in the mass basis: an all-neutrino Dirac system whose
     one-body vectors vanish off the diagonal generators (lambda_3, lambda_8;
-    sigma_3 for nf=2), or that has no one-body term."""
+    sigma_3 for nf=2).  An all-zero ``b_vector`` qualifies."""
     if not _is_dirac_neutrino(spec):
         return False
     diagonal = [2] if spec.nf == 2 else [2, 7]
-    return spec.interaction_only or not np.any(np.delete(spec.b_vector, diagonal, axis=1))
+    return not np.any(np.delete(spec.b_vector, diagonal, axis=1))
 
 
 def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> HamiltonianMatrix:

@@ -143,12 +143,11 @@ def generator_sum_oracle(spec, basis_is_mass: bool = False) -> np.ndarray:
     u = pmns_matrix(spec.pmns, spec.nf)
     n = spec.n_modes
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    if not spec.interaction_only:
-        for p in range(n):
-            local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
-            if not basis_is_mass:
-                local = u @ local @ u.conj().T
-            h += embed_oracle(local, p, n)
+    for p in range(n):
+        local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
+        if not basis_is_mass:
+            local = u @ local @ u.conj().T
+        h += embed_oracle(local, p, n)
     for p in range(n):
         for q in range(p + 1, n):
             if spec.statistics is Statistics.MAJORANA:
@@ -269,6 +268,14 @@ BAD_QUBO_TEXTS = [
     ("out-of-range", "qubo 2 0.0\n0 2 1.0\n", 2, "(0, 2) out of range"),
     ("lower-triangle", "qubo 2 0.0\n1 0 1.0\n", 2, "(1, 0) out of range"),
     ("duplicate", "qubo 2 0.0\n0 0 1.0\n0 0 -5.0\n", 3, "(0, 0) repeats"),
+]
+
+# Well-formed QUBO texts whose |offset| + sum |coefficients| overflows a
+# double: once a traceback from the beta ramp, or energies of -inf.
+OVERFLOWING_QUBO_TEXTS = [
+    ("infinite-reach", "qubo 2 0.0\n0 0 -1e308\n0 1 1.5e308\n1 1 -1e308\n"),
+    ("infinite-energy", "qubo 2 0.0\n0 0 -1e308\n1 1 -1e308\n"),
+    ("infinite-offset", "qubo 1 1e308\n0 0 1e308\n"),
 ]
 
 

@@ -279,7 +279,7 @@ def test_criterion_08_frequency_ratios():
     for nf in (2, 3):
         cfg = reference_config(
             2, nf, initial=("e", "e"),
-            system_extra={"species": ["neutrino", "antineutrino"], "interaction_only": True},
+            system_extra={"species": ["neutrino", "antineutrino"], "b_vector_choice": "zero"},
         )
         freqs[nf] = dominant_frequency(_entropy_series(cfg, times2))
     if abs(freqs[3] - 0.75 * freqs[2]) > 1.0 / total2:
@@ -302,7 +302,7 @@ def test_criterion_09_interaction_only_selection_rule():
         for flavors, species, should_entangle in cases:
             cfg = reference_config(
                 2, nf, initial=flavors,
-                system_extra={"species": species, "interaction_only": True},
+                system_extra={"species": species, "b_vector_choice": "zero"},
             )
             peak = 0.0
             for state, t in zip(evolve_series(cfg.spec, cfg.initial, times), times):

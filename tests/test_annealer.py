@@ -187,6 +187,20 @@ class TestAnneal:
         with pytest.raises(ValueError):
             anneal(QuboProblem(0, {}), AnnealSchedule(sweeps=1, reads=1))
 
+    def test_tiny_betas_accept_every_flip_without_warnings(self, step_loop):
+        # -ln(u) / 1e-320 overflows to +inf, a threshold that accepts the
+        # flip just as u = 0 does.
+        q = QuboProblem(2, {(0, 1): -1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = anneal(q, AnnealSchedule(51, 4, 1e-320, 1e-320, seed=5))
+        # 51 sweeps flip every bit an odd number of times, so each read ends
+        # on the complement of its initial bits.
+        stream = np.random.default_rng(5)
+        stream.permuted(np.tile(np.arange(2), (51, 1)), axis=1)
+        initial = stream.integers(0, 2, (2, 4))
+        assert res.all_read_energies.tolist() == [q.total_energy(1 - initial[:, r]) for r in range(4)]
+
 
 def assert_same_result(a, b):
     assert np.array_equal(a.best_bits, b.best_bits)

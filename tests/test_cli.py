@@ -1,12 +1,15 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import BAD_QUBO_TEXTS, REFERENCE_S3, REFERENCE_TIMES
+from helpers import BAD_QUBO_TEXTS, OVERFLOWING_QUBO_TEXTS, REFERENCE_S3, REFERENCE_TIMES
 
+import nuanneal.cli as cli_mod
 from nuanneal.annealer import exhaustive_minimum
 from nuanneal.cli import main
 from nuanneal.clock import QuboProblem
@@ -199,11 +202,6 @@ BAD_CONFIGS = [
         "times.start: expected a finite float >= 0.0, got '-1.0e12'",
     ),
     ("theta12-bool", {"system": SYSTEM + "theta12: true"}, "system.theta12: expected a finite float, got True"),
-    (
-        "interaction_only-string",
-        {"system": SYSTEM + 'interaction_only: "false"'},
-        "system.interaction_only: expected true or false, got 'false'",
-    ),
     ("freeze_initial-string", {"qubo": QUBO + 'freeze_initial: "false"'}, "qubo.freeze_initial: expected true"),
     ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
     ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
@@ -211,6 +209,12 @@ BAD_CONFIGS = [
     # Unknown keys, including the dropped annealing knobs.
     ("top-unknown", {"sed": " 1"}, "sed: unknown key"),
     ("system-unknown", {"system": SYSTEM + "theta_12: 0.1"}, "system.theta_12: unknown key"),
+    # b_vector_choice: zero is the one way to drop the one-body term.
+    (
+        "interaction_only-string",
+        {"system": SYSTEM + 'interaction_only: "false"'},
+        "system.interaction_only: unknown key",
+    ),
     ("times-unknown", {"times": " {start: 0.0, stop: 1.0, count: 2, step: 1}"}, "times.step: unknown key"),
     ("aqae-unknown", {"aqae": "\n  max_zom: 5"}, "aqae.max_zom: unknown key"),
     ("qubo-unknown", {"qubo": QUBO + "zom: 1"}, "qubo.zom: unknown key"),
@@ -289,6 +293,35 @@ class TestQuboAnnealRoundTrip:
         err = capsys.readouterr().err
         assert f"invalid QUBO file {path}: line {line}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in OVERFLOWING_QUBO_TEXTS], ids=[c[0] for c in OVERFLOWING_QUBO_TEXTS]
+    )
+    def test_overflowing_qubo_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.qubo"
+        path.write_text(text)
+        out = tmp_path / "result.json"
+        assert main(["anneal", "--qubo", str(path), "--sweeps", "50", "--reads", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid QUBO file {path}: " in err and "overflows a double" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_tiny_betas_run_without_warnings(self, tmp_path):
+        # Every threshold overflows to +inf and accepts its flip.  Run in a
+        # fresh process so that stderr is exactly what a user sees.
+        path = tmp_path / "pair.qubo"
+        path.write_text("qubo 2 0.0\n0 1 -1.0\n")
+        flags = ["--sweeps", "50", "--reads", "4", "--beta-start", "1e-320", "--beta-end", "1e-320"]
+        src = str(Path(cli_mod.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "nuanneal.cli", "anneal", "--qubo", str(path), *flags],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["size"] == 2
 
     @pytest.mark.parametrize(
         "flags, message",

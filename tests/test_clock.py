@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import BAD_QUBO_TEXTS, reference_config
+from helpers import BAD_QUBO_TEXTS, OVERFLOWING_QUBO_TEXTS, reference_config
 
 from nuanneal.basis import BasisTag
 from nuanneal.clock import (
@@ -311,3 +311,10 @@ class TestQuboProblem:
     def test_rejects_non_finite_coefficient(self):
         with pytest.raises(ValueError, match="not finite"):
             QuboProblem(2, {(0, 1): float("nan")})
+
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in OVERFLOWING_QUBO_TEXTS], ids=[c[0] for c in OVERFLOWING_QUBO_TEXTS]
+    )
+    def test_rejects_magnitudes_that_overflow_a_double(self, text):
+        with pytest.raises(ValueError, match="overflows a double"):
+            QuboProblem.from_text(text)

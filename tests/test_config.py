@@ -57,6 +57,10 @@ class TestResolveConfig:
         assert cfg.seed == 99
         assert cfg.aqae.seed == 99
 
+    def test_zero_choice_records_a_zero_b_vector(self):
+        cfg = resolve_config({"system": {"n_modes": 3, "nf": 3, "b_vector_choice": "zero"}})
+        assert cfg.resolved()["system"]["b_vector"] == [[0.0] * 8] * 3
+
     def test_explicit_b_vector(self):
         b = [0.0, 0.0, 1e-12, 0.0, 0.0, 0.0, 0.0, 2e-12]
         cfg = resolve_config({"system": {"n_modes": 2, "nf": 3, "b_vector": b}})
@@ -140,7 +144,8 @@ class TestValidationErrors:
             ({"system": {"n_modes": 2, "nf": 2}, "seed": -1}, "seed"),
             ({"system": {"n_modes": 2, "nf": 2}, "aqae": {"max_zoom": 0}}, "aqae"),
             ({"system": {"n_modes": 2, "nf": 2}, "aqae": {"dt": -5.0}}, "aqae.dt"),
-            ({"system": {"n_modes": 4, "nf": 2, "pair_angle": 0.3}}, "pair_angle"),
+            # A 2x2 angles matrix replaces pair_angle.
+            ({"system": {"n_modes": 2, "nf": 2, "pair_angle": 0.3}}, "pair_angle"),
             ({"system": {"n_modes": 2, "nf": 2, "angles": [[0, 1], [1]]}}, "system.angles: expected rows"),
             ({"system": {"n_modes": 2, "nf": 2, "energy_ev": [1e7, "x"]}}, "system.energy_ev[1]"),
             ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"steps": 2}}, "qubo.time: required"),

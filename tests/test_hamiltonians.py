@@ -135,7 +135,7 @@ class TestDiracHamiltonian:
     def test_equal_energy_terms_commute(self):
         cfg = reference_config(4, 3)
         full = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR).matrix
-        cfg_int = reference_config(4, 3, system_extra={"interaction_only": True})
+        cfg_int = reference_config(4, 3, system_extra={"b_vector_choice": "zero"})
         h2 = build_dirac_hamiltonian(cfg_int.spec, BasisTag.FLAVOR).matrix
         h1 = full - h2
         comm = h1 @ h2 - h2 @ h1
@@ -143,7 +143,7 @@ class TestDiracHamiltonian:
         assert np.linalg.norm(comm, 2) < bound
 
     def test_two_body_term_is_basis_invariant(self):
-        cfg = reference_config(3, 3, system_extra={"interaction_only": True})
+        cfg = reference_config(3, 3, system_extra={"b_vector_choice": "zero"})
         h_mass = build_dirac_hamiltonian(cfg.spec, BasisTag.MASS).matrix
         h_flavor = build_dirac_hamiltonian(cfg.spec, BasisTag.FLAVOR).matrix
         u = pmns_matrix(cfg.spec.pmns, 3)
@@ -207,7 +207,7 @@ class TestNuAntinuHamiltonian:
         int_cfg = reference_config(
             2,
             3,
-            system_extra={"species": ["neutrino", "antineutrino"], "interaction_only": True},
+            system_extra={"species": ["neutrino", "antineutrino"], "b_vector_choice": "zero"},
         )
         full = build_hamiltonian(full_cfg.spec).matrix
         h2 = build_hamiltonian(int_cfg.spec).matrix
@@ -231,7 +231,7 @@ class TestMajoranaHamiltonian:
 
     def test_two_flavor_interaction_structure(self):
         cfg = reference_config(
-            2, 2, system_extra={"statistics": "majorana", "interaction_only": True}
+            2, 2, system_extra={"statistics": "majorana", "b_vector_choice": "zero"}
         )
         coupling = cfg.spec.pair_coupling(0, 1)
         expected = 2.0 * coupling * pair_embed_oracle(IM_SY, IM_SY, 0, 1, 2)
@@ -240,7 +240,7 @@ class TestMajoranaHamiltonian:
 
     def test_three_flavor_interaction_has_three_generators(self):
         cfg = reference_config(
-            2, 3, system_extra={"statistics": "majorana", "interaction_only": True}
+            2, 3, system_extra={"statistics": "majorana", "b_vector_choice": "zero"}
         )
         coupling = cfg.spec.pair_coupling(0, 1)
         # Only the three antisymmetric generators carry an imaginary part.
@@ -320,7 +320,6 @@ class TestRestrictToBlock:
             (2, False, {}),
             (3, True, {}),
             (2, True, {}),
-            (3, True, {"interaction_only": True}),
         ],
     )
     def test_conserves_occupations_agrees_with_the_block_check(self, nf, off_diagonal_b, extra):
@@ -337,7 +336,7 @@ class TestRestrictToBlock:
             with pytest.raises(ValueError, match="off-block coupling"):
                 for block in mass_blocks(nf, 4):
                     restrict_to_block(h, block)
-        assert conserves_occupations(spec) is (extra.get("interaction_only", False) or not off_diagonal_b)
+        assert conserves_occupations(spec) is not off_diagonal_b
 
     @pytest.mark.parametrize(
         "extra",

@@ -20,6 +20,12 @@ config headers lost the ``convergence_window``, ``convergence_pct``,
 ``rewind_enabled`` and ``block_size_cap`` keys, and nothing else in them
 changed.  The two ``two_mode_bench.anneal*.json`` files carry no config
 header and were left untouched.
+
+The same four were regenerated again when the ``system.interaction_only``
+and ``system.pair_angle`` keys were removed (``b_vector_choice: zero`` and a
+2 x 2 ``angles`` matrix replace them).  Each equals its previous file with
+the header's ``"interaction_only":false`` entry deleted (the JSON report's
+``"interaction_only": false,`` line); nothing else changed.
 """
 
 import json

@@ -236,7 +236,7 @@ class TestInteractionOnlySelectionRule:
                 2,
                 nf,
                 initial=flavors,
-                system_extra={"species": species, "interaction_only": True},
+                system_extra={"species": species, "b_vector_choice": "zero"},
             )
             peak = 0.0
             for state, t in zip(evolve_series(cfg.spec, cfg.initial, times), times):
