@@ -17,11 +17,15 @@ The step loop has two implementations that agree bit for bit.  The C loop in
 ctypes.  The numpy loop is the reference, and it runs whenever there is no
 compiler or the build fails.  Both read the same visits and thresholds and do
 the same arithmetic: dE = (field + lin) * spin, a flip when dE is below the
-threshold, and field updates by products with a flip of -1, 0 or +1, which
-are exact; the C build turns off floating-point contraction.  The C loop
-updates the fields of only the reads that flip, where numpy adds quad * 0 to
-the rest.  That can change only the sign of a field that is exactly zero,
-and +0 and -0 give the same comparison against every threshold.
+threshold, and, unless no read flipped, every field updated by its product
+with a flip of -1, 0 or +1, which is exact.  The C loop writes this as one
+dense masked update across the reads, vectorised for the host: it is built
+with ``-O3 -march=native`` on the machine that loads it, without
+``-ffast-math`` and with floating-point contraction off, so each element is
+the same IEEE operation as in numpy at any vector width.  Where numpy's flip
+is -0 the C flip is +0; that can change only the sign of a field that is
+exactly zero, and +0 and -0 give the same comparison against every
+threshold.
 
 Determinism contract: a problem of size m draws everything from one
 generator, ``default_rng(seed)`` of its schedule, in this order:
@@ -65,6 +69,10 @@ _EXHAUSTIVE_LIMIT = 24
 # numpy loop runs instead).
 _UNBUILT = object()
 _step_kernel = _UNBUILT
+
+# Compiler flags of the step loop.  native targets the host that builds and
+# loads the library; contraction stays off so no product fuses into an add.
+_STEP_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,12 @@ class AnnealResult:
 
 
 def default_beta_range(q: QuboProblem) -> tuple[float, float]:
-    """Heuristic (beta_start, beta_end) from the problem's coupling scales."""
+    """Heuristic (beta_start, beta_end) from the problem's coupling scales.
+
+    Raises ValueError when a beta overflows, as it does for subnormal
+    coefficient magnitudes: an infinite beta makes the ramp NaN, and a NaN
+    threshold accepts no flip at all.
+    """
     abs_lin, abs_quad = np.abs(q.lin), np.abs(q.quad)
     reach = abs_lin + abs_quad.sum(axis=1)
     max_field = float(reach.max()) if q.size else 0.0
@@ -127,7 +140,10 @@ def default_beta_range(q: QuboProblem) -> tuple[float, float]:
     )
     if max_field <= 0.0 or smallest == np.inf:
         return 1.0, 1.0
-    return math.log(2.0) / max_field, math.log(1e4) / smallest
+    betas = math.log(2.0) / max_field, math.log(1e4) / smallest
+    if not all(map(math.isfinite, betas)):
+        raise ValueError(f"default betas overflow: the smallest nonzero coefficient magnitude is {smallest!r}")
+    return betas
 
 
 def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
@@ -197,11 +213,11 @@ def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:
 def _native_steps(kernel, thresholds, visits, lin, quad, spins, fields) -> None:
     """:func:`_numpy_steps` in compiled code, bit for bit."""
     n, reads = spins.shape
-    flipped = np.empty(reads, np.intp)
-    arrays = (visits, thresholds, lin, quad, spins, fields, flipped)
+    flips = np.empty(reads)
+    arrays = (visits, thresholds, lin, quad, spins, fields, flips)
     # The C loop reads raw pointers: one index array, five of doubles, and
-    # the index buffer of the reads that flip at a visit.
-    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 5 + [np.intp] or not all(
+    # the buffer of each read's flip at a visit.
+    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 6 or not all(
         a.flags.c_contiguous for a in arrays
     ):
         raise ValueError("step-loop arrays must be C-contiguous intp and float64 arrays")
@@ -237,7 +253,7 @@ def _build_step_kernel():
             library = str(Path(build) / "_anneal_step.so")
             with resources.as_file(resources.files(__package__) / "_anneal_step.c") as source:
                 subprocess.run(
-                    [cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", library, str(source)],
+                    [cc, *_STEP_CFLAGS, "-o", library, str(source)],
                     check=True,
                     capture_output=True,
                 )

@@ -31,6 +31,7 @@ from .clock import (
     DigitizationParams,
     Direction,
     QuboProblem,
+    _digitized_qubo,
     apply_bit_updates,
     build_clock,
     build_qubo,
@@ -150,13 +151,18 @@ def clock_qubo(
 ) -> tuple[QuboProblem, list[int]]:
     """QUBO of one pass around ``estimate`` over ``cemb = real_embed(clock)``,
     and the original indices of its bits.  ``freeze`` fixes the bits of the
-    initial register's real and imaginary slots to 0, keeping its values."""
-    problem = build_qubo(cemb, params, estimate)
+    initial register's real and imaginary slots to 0, keeping its values: the
+    QUBO is then built on the live slots only, with the same coefficients as
+    the full QUBO with those bits fixed."""
     if not freeze:
+        problem = build_qubo(cemb, params, estimate)
         return problem, list(range(problem.size))
     d, half, k = clock.register_dim, clock.dim, params.k_bits
-    slots = [*range(d), *range(half, half + d)]
-    return problem.fix_variables({slot * k + b: 0 for slot in slots for b in range(k)})
+    live = np.r_[d:half, half + d : 2 * half]
+    problem = _digitized_qubo(
+        cemb[np.ix_(live, live)], (cemb @ estimate)[live], float(estimate @ cemb @ estimate), params
+    )
+    return problem, (live[:, None] * k + np.arange(k)).ravel().tolist()
 
 
 def run_aqae(

@@ -120,7 +120,13 @@ def cmd_anneal(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid annealing flags: {exc}", file=sys.stderr)
         return 2
-    result = anneal(problem, schedule)
+    try:
+        result = anneal(problem, schedule)
+    except ValueError as exc:
+        # The file and flags passed their checks, so only the default beta
+        # ramp can fail here.
+        print(f"cannot anneal {args.qubo}: {exc}; set --beta-start and --beta-end", file=sys.stderr)
+        return 2
     payload = {
         "qubo": str(args.qubo),
         "size": problem.size,

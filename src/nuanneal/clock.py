@@ -323,10 +323,16 @@ def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (c.shape[0],):
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")
+    return _digitized_qubo(c, c @ prior, float(prior @ c @ prior), params)
+
+
+def _digitized_qubo(c: np.ndarray, c_prior: np.ndarray, offset: float, params: DigitizationParams) -> QuboProblem:
+    """QUBO over the bits of the slots of ``c``, given ``c_prior = (C prior)``
+    on those slots and the constant ``offset = prior^T C prior``."""
     w = digit_weights(params)
     quad = np.kron(c, np.outer(w, w))
     # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
     # signed zeros into 0.0, as the mirrored sum below does for the pairs.
-    lin = np.diag(quad) + np.kron(2.0 * (c @ prior), w) + 0.0
+    lin = np.diag(quad) + np.kron(2.0 * c_prior, w) + 0.0
     upper = np.triu(2.0 * quad, 1)
-    return QuboProblem.from_arrays(lin, upper + upper.T, float(prior @ c @ prior))
+    return QuboProblem.from_arrays(lin, upper + upper.T, offset)

@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from helpers import reference_anneal
 
 import nuanneal.annealer as annealer_mod
@@ -73,6 +75,21 @@ class TestSchedule:
         q = QuboProblem(3, {(0, 0): -2.0, (0, 1): 0.5, (1, 2): -4.0, (2, 2): 0.0})
         assert default_beta_range(q) == (np.log(2.0) / 4.5, np.log(1e4) / 0.5)
         assert default_beta_range(QuboProblem(2, {(0, 1): 0.0})) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [{(0, 1): 1e-310}, {(0, 0): -1.0, (0, 1): 1e-310}, {(1, 1): 5e-324}],
+        ids=["subnormal-pair", "subnormal-beside-normal", "smallest-subnormal"],
+    )
+    def test_default_beta_range_rejects_overflowing_betas(self, coefficients):
+        # ln(1e4) / 1e-310 overflows; the infinite beta once made a NaN ramp
+        # that accepted no flip, and anneal returned the random initial bits.
+        q = QuboProblem(2, coefficients)
+        with pytest.raises(ValueError, match="default betas overflow"):
+            default_beta_range(q)
+        with pytest.raises(ValueError, match="default betas overflow"):
+            anneal(q, AnnealSchedule(sweeps=50, reads=4))
+        assert anneal(q, AnnealSchedule(50, 4, 1.0, 2.0)).all_read_energies.shape == (4,)
 
     def test_default_beta_range_matches_upper_triangle_scan(self, rng):
         # The cold end scans lin and the whole symmetric quad; its upper
@@ -277,12 +294,14 @@ class TestStepLoops:
         [
             (lambda arrays: {**arrays, "visits": arrays["visits"].astype(np.int32)}, "C-contiguous"),
             (lambda arrays: {**arrays, "quad": np.asfortranarray(arrays["quad"])}, "C-contiguous"),
+            (lambda arrays: {**arrays, "fields": arrays["fields"].astype(np.float32)}, "C-contiguous"),
             (lambda arrays: {**arrays, "lin": arrays["lin"][:-1].copy()}, "disagree in shape"),
         ],
-        ids=["int32-visits", "fortran-quad", "short-lin"],
+        ids=["int32-visits", "fortran-quad", "float32-fields", "short-lin"],
     )
     def test_native_steps_check_arrays_before_the_call(self, rng, spoil, message):
         # The C loop reads raw pointers, so a bad array must stop before it.
+        # _native_steps adds the float64 buffer of each read's flip itself.
         n, reads, sweeps = 4, 3, 2
         quad = rng.normal(size=(n, n))
         arrays = {
@@ -299,6 +318,60 @@ class TestStepLoops:
 
         with pytest.raises(ValueError, match=message):
             annealer_mod._native_steps(kernel, **spoil(arrays))
+
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    @pytest.mark.parametrize("beta", [1.0, 1e-300, 1e300], ids=["unit", "tiny", "huge"])
+    @pytest.mark.parametrize("n", [1, 2, 16, 24, 33])
+    def test_native_steps_match_numpy_at_simd_tail_sizes(self, n, beta, kind):
+        # The C loops run across the reads in vector blocks plus a scalar
+        # tail; these read counts put 0, 1 and all but one read in the tail
+        # at 4 and 8 doubles per vector.  A tiny beta makes every read flip;
+        # a huge one accepts only downhill and level flips, so settled visits
+        # flip no read and end early.  Integer couplings, with lin zero at
+        # every third variable, make fields and energy changes exactly zero.
+        kernel = native_kernel()
+        rng = np.random.default_rng([n, 300 + int(np.log10(beta)), len(kind)])
+        sweeps, zero_fields = 6, 0
+        for reads in (1, 7, 8, 9, 47, 48, 49, 200):
+            if kind == "integer":
+                coeffs = {(i, j): float(rng.integers(-3, 4)) for i in range(n) for j in range(i, n)}
+                coeffs.update({(i, i): 0.0 for i in range(0, n, 3)})
+                q = QuboProblem(n, coeffs)
+            else:
+                q = random_qubo(rng, n)
+            visits = rng.permuted(np.tile(np.arange(n), (sweeps, 1)), axis=1)
+            with np.errstate(divide="ignore", over="ignore"):
+                thresholds = np.log(rng.random((sweeps, n, reads))) / -beta
+            bits = rng.integers(0, 2, (n, reads)).astype(float)
+            runs = {}
+            for name in ("native", "numpy"):
+                spins, fields = 1.0 - 2.0 * bits, q.quad @ bits
+                if name == "native":
+                    annealer_mod._native_steps(kernel, thresholds, visits, q.lin, q.quad, spins, fields)
+                else:
+                    # One visit per call, to count the reads that flip and
+                    # the zero fields at each visit.
+                    flipping = []
+                    for s, t in np.ndindex(visits.shape):
+                        before = spins.copy()
+                        zero_fields += np.count_nonzero(fields[visits[s, t]] == 0.0)
+                        one = np.s_[s : s + 1, t : t + 1]
+                        annealer_mod._numpy_steps(thresholds[one], visits[one], q.lin, q.quad, spins, fields)
+                        flipping.append(np.count_nonzero(spins != before))
+                final = 0.5 * (1.0 - spins)
+                energies = q.lin @ final + 0.5 * np.einsum("ir,ir->r", q.quad @ final, final)
+                runs[name] = spins, fields, energies
+            (spins, fields, energies), (ref_spins, ref_fields, ref_energies) = runs["native"], runs["numpy"]
+            assert spins.tobytes() == ref_spins.tobytes()
+            assert energies.tobytes() == ref_energies.tobytes()
+            # Where numpy's flip is -0 the C loop's is +0, so a zero field may
+            # differ in sign only.
+            assert np.array_equal(fields, ref_fields)
+            if beta == 1e-300:
+                assert flipping == [reads] * (sweeps * n)
+            elif beta == 1e300 and kind == "normal":
+                assert 0 in flipping
+        assert zero_fields > 0 or kind == "normal"
 
     def test_native_matches_numpy_on_reference_block_sizes(self, monkeypatch):
         # The occupation blocks of one reference AQAE sample time: 3 blocks
@@ -336,9 +409,9 @@ class TestStepLoops:
         "betas", [None, (1e-300, 1e-300), (1e300, 1e300)], ids=["default", "tiny", "huge"]
     )
     def test_native_matches_numpy_where_fields_are_exactly_zero(self, monkeypatch, betas):
-        # The C loop leaves the fields of reads that do not flip untouched,
-        # where numpy adds quad * 0 to them.  Integer couplings and some zero
-        # lin[v] make fields, and so energy changes, exactly zero.
+        # Where a read does not flip, the C loop adds quad * +0 to its fields
+        # and numpy may add quad * -0.  Integer couplings and some zero lin[v]
+        # make fields, and so energy changes, exactly zero.
         rng = np.random.default_rng(12)
         problems = []
         for n in (3, 9, 20):
@@ -366,7 +439,7 @@ class TestStepLoops:
         zero_field, delta_e, accept = (np.concatenate(column) for column in zip(*visits_seen))
         assert np.count_nonzero(zero_field & (delta_e == 0.0)) > 0  # a zero field where lin[v] is 0
         if betas == (1e-300, 1e-300):
-            assert accept.all()  # every read flips: the index buffer is full
+            assert accept.all()  # every read flips at every visit
         elif betas == (1e300, 1e300):
             assert not accept[delta_e > 0.0].any()  # only downhill and level flips
             assert accept[delta_e < 0.0].all()
@@ -399,6 +472,16 @@ class TestStepLoops:
         assert annealer_mod._step_kernel is None
         for a, b in zip(got, expected):
             assert_same_result(a, b)
+
+    def test_ci_compiles_the_step_loop_with_the_runtime_flags(self):
+        # CI compiles the C loop once more with warnings as errors; it must
+        # build the same code the runtime build does.
+        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+        steps = yaml.safe_load(workflow.read_text())["jobs"]["tests"]["steps"]
+        [run] = [step["run"] for step in steps if step.get("name") == "C step loop compiles without warnings"]
+        command = shlex.split(run)
+        assert command[: 1 + len(annealer_mod._STEP_CFLAGS)] == ["cc", *annealer_mod._STEP_CFLAGS]
+        assert {"-Wall", "-Wextra", "-Werror"} <= set(command)
 
     def test_native_kernel_loads_where_a_compiler_exists(self):
         kernel = native_kernel()

@@ -307,6 +307,23 @@ class TestQuboAnnealRoundTrip:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text", ["qubo 2 0.0\n0 1 1e-310\n", "qubo 2 0.0\n0 0 -1.0\n0 1 1e-310\n"], ids=["subnormal", "mixed"]
+    )
+    def test_subnormal_qubo_without_betas_exits_2(self, tmp_path, capsys, text):
+        # Its default betas overflow; the NaN ramp they once made accepted no
+        # flip, and the command exited 0 with a numpy warning.
+        path = tmp_path / "tiny.qubo"
+        path.write_text(text)
+        out = tmp_path / "result.json"
+        assert main(["anneal", "--qubo", str(path), "--sweeps", "50", "--reads", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot anneal {path}: default betas overflow" in err
+        assert "set --beta-start and --beta-end" in err and "Traceback" not in err
+        assert not out.exists()
+        flags = ["--beta-start", "1.0", "--beta-end", "2.0", "--out", str(out)]
+        assert main(["anneal", "--qubo", str(path), "--sweeps", "50", "--reads", "4", *flags]) == 0
+
     def test_tiny_betas_run_without_warnings(self, tmp_path):
         # Every threshold overflows to +inf and accepts its flip.  Run in a
         # fresh process so that stderr is exactly what a user sees.
