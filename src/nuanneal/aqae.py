@@ -19,7 +19,6 @@ occupation block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,13 +116,11 @@ def _latest_non_increasing(checkpoints: list[_Checkpoint]) -> int:
 @dataclass
 class AqaeResult:
     """Final-register estimate plus the full iteration record: the embedded
-    trajectory ``estimate``, the ``zoom`` level reached and the clock energy
-    of every anneal since the last rewind."""
+    trajectory ``estimate`` and one ``diagnostics`` entry per anneal and per
+    rewind."""
 
     amplitudes: np.ndarray
     estimate: np.ndarray
-    zoom: int
-    energy_history: list[float]
     converged: bool
     diagnostics: list[dict]
     rewinds: int
@@ -183,8 +180,7 @@ def run_aqae(
     psi0 = np.asarray(initial, dtype=complex)
     clock = build_clock(h, psi0, dt, steps)
     cemb = real_embed(clock)
-    d, nreg = clock.register_dim, clock.n_steps + 1
-    n_live = 2 * (clock.dim - d)
+    n_live = 2 * (clock.dim - clock.register_dim)
     cemb_norm = float(np.linalg.norm(cemb, 2))
 
     exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
@@ -219,15 +215,15 @@ def run_aqae(
                 "clock_energy": result.best_energy,
             }
             if exact_final is not None:
-                entry["overlap"] = _final_register_overlap(estimate, exact_final, d, nreg)
+                entry["overlap"] = _overlap(exact_final, _final_register(clock, estimate))
             diagnostics.append(entry)
             iteration += 1
-        checkpoints.append(_Checkpoint(z, estimate.copy(), history[-1], len(history)))
+        checkpoints.append(_Checkpoint(z, estimate, history[-1], len(history)))
         stalled = rewinds < cfg.max_rewinds and converged(history) and history[-1] > floor_at(z)
         if stalled:
             keep = _latest_non_increasing(checkpoints)
             cp = checkpoints[keep]
-            estimate = cp.estimate.copy()
+            estimate = cp.estimate
             history = history[: cp.history_len]
             checkpoints = checkpoints[: keep + 1]
             diagnostics.append(
@@ -244,16 +240,19 @@ def run_aqae(
             continue
         z += 1
 
-    final = unembed_state(estimate)[d * clock.n_steps :]
+    final = _final_register(clock, estimate)
     norm = np.linalg.norm(final)
     if norm < 1e-12:
         raise RuntimeError("AQAE final register collapsed to zero; no estimate available")
     converged_flag = history[-1] <= floor_at(cfg.max_zoom - 1)
-    return AqaeResult(final / norm, estimate, z, history, converged_flag, diagnostics, rewinds)
+    return AqaeResult(final / norm, estimate, converged_flag, diagnostics, rewinds)
 
 
-def _final_register_overlap(estimate: np.ndarray, exact_final: np.ndarray, d: int, nreg: int) -> float:
-    est = unembed_state(estimate)[d * (nreg - 1) :]
+def _final_register(clock: ClockMatrix, estimate: np.ndarray) -> np.ndarray:
+    return unembed_state(estimate)[clock.register_dim * clock.n_steps :]
+
+
+def _overlap(exact_final: np.ndarray, est: np.ndarray) -> float:
     norm = np.linalg.norm(est)
     if norm < 1e-300:
         return 0.0
@@ -262,7 +261,9 @@ def _final_register_overlap(estimate: np.ndarray, exact_final: np.ndarray, d: in
 
 @dataclass
 class BlockRunReport:
-    """Outcome of one occupation block at one sample time."""
+    """Outcome of one occupation block at one sample time.  A skipped block
+    keeps the run fields at their defaults; ``overlap`` is None unless the
+    run had the oracle."""
 
     occupation: tuple[int, ...]
     size: int
@@ -271,21 +272,8 @@ class BlockRunReport:
     converged: bool = False
     zoom_levels: int = 0
     rewinds: int = 0
-    final_energy: float = math.nan
-    overlap: float = math.nan
-
-    def to_dict(self) -> dict:
-        return {
-            "occupation": [int(c) for c in self.occupation],
-            "size": int(self.size),
-            "weight": float(self.weight),
-            "skipped": bool(self.skipped),
-            "converged": bool(self.converged),
-            "zoom_levels": int(self.zoom_levels),
-            "rewinds": int(self.rewinds),
-            "final_energy": None if math.isnan(self.final_energy) else float(self.final_energy),
-            "overlap": None if math.isnan(self.overlap) else float(self.overlap),
-        }
+    final_energy: float | None = None
+    overlap: float | None = None
 
 
 @dataclass
@@ -345,30 +333,27 @@ def run_aqae_blocked(
     for t_idx, t in enumerate(times):
         steps = max(1, round(t / dt)) if dt is not None else 1
         step_dt = t / steps if t > 0 else 0.0
-        per_block = [BlockRunReport(b.occupation, b.size, w, True) for b, w in zip(blocks, weights)]
+        per_block: list[BlockRunReport] = []
         assembled = np.zeros(spec.dim, dtype=complex)
-        for b_idx, h_block in h_blocks.items():
+        for b_idx, (block, sub, weight) in enumerate(zip(blocks, subs, weights)):
+            if b_idx not in h_blocks:
+                per_block.append(BlockRunReport(block.occupation, block.size, weight, skipped=True))
+                continue
             block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
             try:
-                res = run_aqae(h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
+                res = run_aqae(h_blocks[b_idx], sub / weight, step_dt, block_cfg, steps, oracle)
             except Exception as exc:
-                block = blocks[b_idx]
                 raise RuntimeError(
                     f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
                 ) from exc
-            rep = per_block[b_idx]
-            assembled[np.asarray(blocks[b_idx].indices)] = rep.weight * res.amplitudes
-            overlap = math.nan
-            if res.diagnostics and "overlap" in res.diagnostics[-1]:
-                overlap = res.diagnostics[-1]["overlap"]
-            per_block[b_idx] = replace(
-                rep,
-                skipped=False,
-                converged=res.converged,
-                zoom_levels=res.zoom,
-                rewinds=res.rewinds,
-                final_energy=res.energy_history[-1],
-                overlap=overlap,
+            assembled[np.asarray(block.indices)] = weight * res.amplitudes
+            last = res.diagnostics[-1]
+            per_block.append(
+                BlockRunReport(
+                    block.occupation, block.size, weight, skipped=False, converged=res.converged,
+                    zoom_levels=cfg.max_zoom, rewinds=res.rewinds,
+                    final_energy=last["clock_energy"], overlap=last.get("overlap"),
+                )
             )
         mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)
         flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)

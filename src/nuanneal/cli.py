@@ -150,7 +150,7 @@ def _blocked_report_json(cfg: ExperimentConfig, result: BlockedAqaeResult) -> st
         "blocks": [
             {
                 "time": t,
-                "block_runs": [rep.to_dict() for rep in per_time],
+                "block_runs": [asdict(rep) for rep in per_time],
             }
             for t, per_time in zip(cfg.times, result.block_reports)
         ],
@@ -275,6 +275,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        inputs = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"out of memory: nuanneal {inputs}; make the problem smaller", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .aqae import AqaeConfig
-from .basis import BasisTag, PmnsParams, StateVector, flavor_state
+from .basis import MAX_BASIS_DIM, BasisTag, PmnsParams, StateVector, flavor_state
 from .clock import Direction
 from .hamiltonians import (
     B_VECTOR_CHOICES,
@@ -152,6 +152,10 @@ def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
     nf = _number(system.get("nf"), "system.nf", int)
     if nf not in (2, 3):
         raise ConfigError(f"system.nf: must be 2 or 3, got {nf}")
+    # Before anything sized by n_modes.  Capping the exponent keeps a huge
+    # n_modes from making a huge int; nf >= 2, so the verdict is the same.
+    if nf ** min(n_modes, MAX_BASIS_DIM.bit_length()) > MAX_BASIS_DIM:
+        raise ConfigError(f"system.n_modes: {nf}**{n_modes} basis states exceed the cap of {MAX_BASIS_DIM}")
 
     def number(key: str, minimum=-math.inf) -> float:
         return _number(system.get(key, DEFAULTS[key]), f"system.{key}", float, minimum)

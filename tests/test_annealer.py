@@ -1,5 +1,4 @@
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -8,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from helpers import reference_anneal
 
 import nuanneal.annealer as annealer_mod
@@ -473,15 +471,19 @@ class TestStepLoops:
         for a, b in zip(got, expected):
             assert_same_result(a, b)
 
-    def test_ci_compiles_the_step_loop_with_the_runtime_flags(self):
-        # CI compiles the C loop once more with warnings as errors; it must
-        # build the same code the runtime build does.
-        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
-        steps = yaml.safe_load(workflow.read_text())["jobs"]["tests"]["steps"]
-        [run] = [step["run"] for step in steps if step.get("name") == "C step loop compiles without warnings"]
-        command = shlex.split(run)
-        assert command[: 1 + len(annealer_mod._STEP_CFLAGS)] == ["cc", *annealer_mod._STEP_CFLAGS]
-        assert {"-Wall", "-Wextra", "-Werror"} <= set(command)
+    def test_step_loop_compiles_without_warnings(self, tmp_path):
+        # The runtime build discards the compiler's output, so its warnings
+        # show only here: the same flags, with warnings as errors.
+        if annealer_mod._native_kernel() is None:
+            pytest.skip("the C step loop does not build here")
+        source = Path(annealer_mod.__file__).with_name("_anneal_step.c")
+        flags = [*annealer_mod._STEP_CFLAGS, "-Wall", "-Wextra", "-Werror"]
+        run = subprocess.run(
+            ["cc", *flags, "-o", str(tmp_path / "_anneal_step.so"), str(source)],
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_native_kernel_loads_where_a_compiler_exists(self):
         kernel = native_kernel()

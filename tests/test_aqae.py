@@ -115,7 +115,7 @@ class TestRunAqae:
         a = run_aqae(h, psi0, dt=1e11, cfg=CFG)
         b = run_aqae(h, psi0, dt=1e11, cfg=CFG)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-        assert a.energy_history == b.energy_history
+        assert a.diagnostics == b.diagnostics
 
     def test_error_envelope_shrinks_with_zoom(self):
         h = HamiltonianMatrix(np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, -0.2]]), BasisTag.FLAVOR)
@@ -174,7 +174,7 @@ class TestRunAqae:
         cfg = AqaeConfig(k_bits=1, max_zoom=10, reads=4, sweeps=8, seed=0, max_rewinds=0)
         res = run_aqae(h, psi0, dt=1.0, cfg=cfg)
         assert res.rewinds == 0
-        assert len(res.energy_history) == 20
+        assert len(res.diagnostics) == 20
 
 
 class TestRunAqaeBlocked:
@@ -343,10 +343,10 @@ class TestRunAqaeBlocked:
                 replace(acfg, seed=_derived_seed(acfg.seed, 0, b_idx)),
                 oracle=True,
             )
-            assert rep.final_energy == alone.energy_history[-1]
+            assert rep.final_energy == alone.diagnostics[-1]["clock_energy"]
             assert rep.overlap == alone.diagnostics[-1]["overlap"]
             assert (rep.zoom_levels, rep.rewinds, rep.converged) == (
-                alone.zoom,
+                acfg.max_zoom,
                 alone.rewinds,
                 alone.converged,
             )

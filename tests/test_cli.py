@@ -256,6 +256,31 @@ class TestBlocksCommand:
         assert "# total states: 81" in text
 
 
+@pytest.mark.parametrize("command", ["blocks", "evolve"])
+@pytest.mark.parametrize("n_modes", [11, 40])
+def test_oversize_system_exits_2_naming_n_modes(tmp_path, capsys, command, n_modes):
+    # 3**11 is the first basis past the cap.  Both commands used to end in a
+    # traceback: blocks in mass_blocks, evolve in allocating the dense H.
+    path = tmp_path / "big.yaml"
+    labels = ", ".join(["e"] * n_modes)
+    path.write_text(config_text(system=f"\n  n_modes: {n_modes}\n  nf: 3", initial_state=f" [{labels}]"))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: system.n_modes: 3**{n_modes} basis states exceed the cap of 59049" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_largest_supported_system_passes_the_cap(tmp_path):
+    path = tmp_path / "ten.yaml"
+    labels = ", ".join(["e"] * 10)
+    path.write_text(config_text(system="\n  n_modes: 10\n  nf: 3", initial_state=f" [{labels}]"))
+    out = tmp_path / "blocks.csv"
+    assert main(["blocks", "--config", str(path), "--out", str(out)]) == 0
+    assert "# total states: 59049" in out.read_text()
+
+
 class TestQuboAnnealRoundTrip:
     def test_export_then_anneal(self, small_cfg, tmp_path):
         qubo_path = tmp_path / "clock.qubo"
@@ -358,6 +383,27 @@ class TestQuboAnnealRoundTrip:
         err = capsys.readouterr().err
         assert f"invalid annealing flags: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("qubo 2 0.0\n0 1 -1.0\n", ["--reads", "100000000000000"]),
+            ("qubo 2 0.0\n0 1 -1.0\n", ["--sweeps", "100000000000000"]),
+            ("qubo 10000000 0.0\n", []),
+        ],
+        ids=["reads", "sweeps", "header-size"],
+    )
+    def test_out_of_memory_input_exits_2(self, tmp_path, capsys, text, flags):
+        # Each needs 0.7-1.4 PiB, beyond the 128 TiB x86-64 user address
+        # space, so the allocation fails at once on any machine.
+        path = tmp_path / "big.qubo"
+        path.write_text(text)
+        out = tmp_path / "result.json"
+        assert main(["anneal", "--qubo", str(path), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"out of memory: nuanneal anneal --qubo {path} {' '.join(flags)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_qubo_file_without_variables_exits_2(self, tmp_path, capsys):
         # Fixing every variable leaves a valid, empty problem that the text

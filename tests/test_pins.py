@@ -26,6 +26,11 @@ and ``system.pair_angle`` keys were removed (``b_vector_choice: zero`` and a
 2 x 2 ``angles`` matrix replace them).  Each equals its previous file with
 the header's ``"interaction_only":false`` entry deleted (the JSON report's
 ``"interaction_only": false,`` line); nothing else changed.
+
+``aqae_skipped.csv`` and ``aqae_skipped.json`` were added later, written at
+the commit before ``BlockRunReport`` gave up NaN for None.  With no mixing,
+the initial state sits in one occupation block, so the JSON pins the report
+of skipped blocks and, run without the oracle, a null ``overlap``.
 """
 
 import json
@@ -47,6 +52,16 @@ AQAE_SMALL = {
     "initial_state": ["e", "mu"],
     "times": [1.1e12, 3.3e12],
     "aqae": {"k_bits": 1, "max_zoom": 16, "reads": 32, "sweeps": 64},
+}
+
+# No mixing: [e, mu, mu] is one mass-basis product state, so 9 of the 10
+# blocks are skipped at each sample time.
+AQAE_SKIPPED = {
+    "seed": 3,
+    "system": {"n_modes": 3, "nf": 3, "theta12": 0.0, "theta13": 0.0, "theta23": 0.0, "delta_cp": 0.0},
+    "initial_state": ["e", "mu", "mu"],
+    "times": [1.1e12, 2.2e12],
+    "aqae": {"k_bits": 1, "max_zoom": 8, "reads": 16, "sweeps": 32},
 }
 
 
@@ -93,10 +108,18 @@ def test_zero_sweep_pin_scores_the_initial_bits_of_the_stream_contract():
         assert abs(pin[f"read_energy_{key}"] - value) < 1e-12
 
 
-def test_aqae_oracle_run(tmp_path):
+def _assert_aqae_pin(tmp_path: Path, raw: dict, flags: list[str], pin: str) -> None:
     cfg = tmp_path / "aqae.yaml"
-    cfg.write_text(yaml.safe_dump(AQAE_SMALL))
+    cfg.write_text(yaml.safe_dump(raw))
     out = tmp_path / "aqae.csv"
-    assert main(["aqae", "--config", str(cfg), "--oracle", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "aqae_small.csv").read_bytes()
-    assert out.with_suffix(".json").read_bytes() == (DATA / "aqae_small.json").read_bytes()
+    assert main(["aqae", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{pin}.csv").read_bytes()
+    assert out.with_suffix(".json").read_bytes() == (DATA / f"{pin}.json").read_bytes()
+
+
+def test_aqae_oracle_run(tmp_path):
+    _assert_aqae_pin(tmp_path, AQAE_SMALL, ["--oracle"], "aqae_small")
+
+
+def test_aqae_skipped_blocks_without_oracle(tmp_path):
+    _assert_aqae_pin(tmp_path, AQAE_SKIPPED, [], "aqae_skipped")
