@@ -44,7 +44,6 @@ from .hamiltonians import (
 from .witnesses import (
     WitnessReport,
     compute_witnesses,
-    dominant_frequency,
     entanglement_entropy,
     negativity,
 )

@@ -30,7 +30,6 @@ from .clock import (
     DigitizationParams,
     Direction,
     QuboProblem,
-    _digitized_qubo,
     apply_bit_updates,
     build_clock,
     build_qubo,
@@ -151,14 +150,9 @@ def clock_qubo(
     initial register's real and imaginary slots to 0, keeping its values: the
     QUBO is then built on the live slots only, with the same coefficients as
     the full QUBO with those bits fixed."""
-    if not freeze:
-        problem = build_qubo(cemb, params, estimate)
-        return problem, list(range(problem.size))
     d, half, k = clock.register_dim, clock.dim, params.k_bits
-    live = np.r_[d:half, half + d : 2 * half]
-    problem = _digitized_qubo(
-        cemb[np.ix_(live, live)], (cemb @ estimate)[live], float(estimate @ cemb @ estimate), params
-    )
+    live = np.r_[d:half, half + d : 2 * half] if freeze else np.arange(2 * half)
+    problem = build_qubo(cemb, params, estimate, live)
     return problem, (live[:, None] * k + np.arange(k)).ravel().tolist()
 
 
@@ -270,7 +264,6 @@ class BlockRunReport:
     weight: float
     skipped: bool
     converged: bool = False
-    zoom_levels: int = 0
     rewinds: int = 0
     final_energy: float | None = None
     overlap: float | None = None
@@ -342,6 +335,8 @@ def run_aqae_blocked(
             block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
             try:
                 res = run_aqae(h_blocks[b_idx], sub / weight, step_dt, block_cfg, steps, oracle)
+            except MemoryError:
+                raise
             except Exception as exc:
                 raise RuntimeError(
                     f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
@@ -351,8 +346,7 @@ def run_aqae_blocked(
             per_block.append(
                 BlockRunReport(
                     block.occupation, block.size, weight, skipped=False, converged=res.converged,
-                    zoom_levels=cfg.max_zoom, rewinds=res.rewinds,
-                    final_energy=last["clock_energy"], overlap=last.get("overlap"),
+                    rewinds=res.rewinds, final_energy=last["clock_energy"], overlap=last.get("overlap"),
                 )
             )
         mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)

@@ -308,13 +308,17 @@ class QuboProblem:
         return cls(size, coeffs, offset)
 
 
-def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray) -> QuboProblem:
-    """Exact QUBO for the quadratic form a(q)^T C a(q).
+def build_qubo(
+    real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray, live: np.ndarray | None = None
+) -> QuboProblem:
+    """Exact QUBO for the quadratic form a(q)^T C a(q) over the bits of the
+    ``live`` slots (every slot when None).
 
-    With a(q) = prior + M q, where M maps the K bits of each slot through
-    :func:`digit_weights`, the expansion produces the bit-bit couplings, a
-    linear coupling to the prior estimate, and a constant offset, so that
-    QUBO energy + offset reproduces the quadratic form bit-for-bit.
+    With a(q) = prior + M q, where M maps the K bits of each live slot
+    through :func:`digit_weights` and leaves the other slots at their prior
+    values, the expansion produces the bit-bit couplings, a linear coupling
+    to the prior estimate, and a constant offset, so that QUBO energy +
+    offset reproduces the quadratic form bit-for-bit.
     """
     c = np.asarray(real_c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -323,16 +327,15 @@ def build_qubo(real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (c.shape[0],):
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")
-    return _digitized_qubo(c, c @ prior, float(prior @ c @ prior), params)
-
-
-def _digitized_qubo(c: np.ndarray, c_prior: np.ndarray, offset: float, params: DigitizationParams) -> QuboProblem:
-    """QUBO over the bits of the slots of ``c``, given ``c_prior = (C prior)``
-    on those slots and the constant ``offset = prior^T C prior``."""
+    c_prior, offset = c @ prior, float(prior @ c @ prior)
+    if live is not None:
+        c, c_prior = c[np.ix_(live, live)], c_prior[live]
     w = digit_weights(params)
-    quad = np.kron(c, np.outer(w, w))
+    n, k = c.shape[0], w.shape[0]
+    # quad[i*K + a, j*K + b] = c[i, j] * (w[a] w[b]): the products np.kron forms.
+    quad = (c[:, None, :, None] * np.outer(w, w)[:, None, :]).reshape(n * k, n * k)
     # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
     # signed zeros into 0.0, as the mirrored sum below does for the pairs.
-    lin = np.diag(quad) + np.kron(2.0 * c_prior, w) + 0.0
+    lin = np.diag(quad) + ((2.0 * c_prior)[:, None] * w).ravel() + 0.0
     upper = np.triu(2.0 * quad, 1)
     return QuboProblem.from_arrays(lin, upper + upper.T, offset)

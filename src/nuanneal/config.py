@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .aqae import AqaeConfig
-from .basis import MAX_BASIS_DIM, BasisTag, PmnsParams, StateVector, flavor_state
+from .basis import MAX_BASIS_DIM, BasisTag, PmnsParams, StateVector, flavor_state, mass_blocks
 from .clock import Direction
 from .hamiltonians import (
     B_VECTOR_CHOICES,
@@ -138,6 +138,16 @@ def _resolve_species(system: dict, n_modes: int) -> tuple[Species, ...]:
         raise ConfigError(f"system.species: expected a list of {n_modes} entries")
     names = [s.value for s in Species]
     return tuple(Species(_choice(x, f"system.species[{i}]", names)) for i, x in enumerate(raw))
+
+
+def _check_clock_size(name: str, register_dim: int, steps: float) -> None:
+    """Reject a clock of ``steps`` steps over registers of ``register_dim``
+    states, (steps + 1) registers in all, above ``MAX_BASIS_DIM`` states."""
+    if register_dim * (steps + 1) > MAX_BASIS_DIM:
+        raise ConfigError(
+            f"{name}: {steps:.6g} clock steps over {register_dim} states each exceed the cap of "
+            f"{MAX_BASIS_DIM} clock states"
+        )
 
 
 def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
@@ -280,14 +290,17 @@ def _int_list(raw, name: str, minimum: int) -> tuple[int, ...]:
     return tuple(_number(v, f"{name}[{i}]", int, minimum) for i, v in enumerate(raw))
 
 
-def _resolve_qubo(raw, aqae: AqaeConfig) -> QuboConfig | None:
+def _resolve_qubo(raw, aqae: AqaeConfig, spec: SystemSpec) -> QuboConfig | None:
     section = _mapping(raw, "qubo", ("time", "steps", "k_bits", "zoom", "direction", "freeze_initial"))
     if not section:
         return None
     direction = _choice(section.get("direction", "forward"), "qubo.direction", [d.value for d in Direction])
+    steps = _number(section.get("steps", 1), "qubo.steps", int, 1)
+    # nuanneal qubo builds the clock over the whole basis.
+    _check_clock_size("qubo.steps", spec.dim, steps)
     return QuboConfig(
         time=_number(section.get("time"), "qubo.time"),
-        steps=_number(section.get("steps", 1), "qubo.steps", int, 1),
+        steps=steps,
         k_bits=_number(section.get("k_bits", aqae.k_bits), "qubo.k_bits", int, 1),
         zoom=_number(section.get("zoom", 0), "qubo.zoom", int, 0),
         direction=Direction(direction),
@@ -373,6 +386,12 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     initial = _resolve_initial(raw["initial_state"], spec) if "initial_state" in raw else None
     times = _resolve_times(raw["times"]) if "times" in raw else []
     aqae_cfg, aqae_dt = build_aqae_config(raw.get("aqae"), seed)
+    if aqae_dt is not None and times:
+        # run_aqae_blocked's clock over the largest block at the last time.  A
+        # ratio past the cap is rejected unrounded: round() fails on infinity.
+        largest = max(block.size for block in mass_blocks(spec.nf, spec.n_modes))
+        ratio = max(times) / aqae_dt
+        _check_clock_size("aqae.dt", largest, max(1, round(ratio)) if ratio < MAX_BASIS_DIM else ratio)
     return ExperimentConfig(
         raw=raw,
         seed=seed,
@@ -382,7 +401,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         times=times,
         aqae=aqae_cfg,
         aqae_dt=aqae_dt,
-        qubo=_resolve_qubo(raw.get("qubo"), aqae_cfg),
+        qubo=_resolve_qubo(raw.get("qubo"), aqae_cfg, spec),
         bench=_resolve_bench(raw.get("bench"), aqae_cfg),
     )
 
@@ -402,6 +421,10 @@ def load_state(path: str | Path) -> tuple[StateVector, float]:
     pairs = _array(data.get("amplitudes"), "amplitudes")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ConfigError("amplitudes: expected a list of [re, im] pairs")
+    # With nf >= 2, more modes than the amplitude count has bits means more
+    # basis states than amplitudes; said without forming a huge nf**n_modes.
+    if nf > 1 and n_modes > len(pairs).bit_length():
+        raise ConfigError(f"n_modes: {nf}**{n_modes} basis states, more than the {len(pairs)} amplitudes given")
     basis = BasisTag(_choice(data.get("basis", "flavor"), "basis", [b.value for b in BasisTag]))
     time = _number(data.get("time", 0.0), "time")
     try:

@@ -87,26 +87,3 @@ def compute_witnesses(state: StateVector, time: float = 0.0) -> WitnessReport:
     }
     return WitnessReport(time, entropies, negativities)
 
-
-def dominant_frequency(series: list[tuple[float, float]]) -> float:
-    """Frequency (cycles per 1/eV, i.e. eV) of the strongest oscillation.
-
-    Mean-subtracts the uniformly sampled series and returns the frequency of
-    the largest nonzero-frequency DFT bin, or 0.0 when no bin rises above
-    1e-12 in magnitude.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("series must be a sequence of (time, value) pairs")
-    if arr.shape[0] < 16:
-        raise ValueError("series must contain at least 16 samples")
-    times, values = arr[:, 0], arr[:, 1]
-    steps = np.diff(times)
-    dt = steps[0]
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):
-        raise ValueError("series must be uniformly spaced in time")
-    spectrum = np.abs(np.fft.rfft(values - values.mean()))
-    k = int(np.argmax(spectrum[1:]) + 1)
-    if spectrum[k] <= 1e-12:
-        return 0.0
-    return k / (len(values) * dt)

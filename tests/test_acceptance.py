@@ -15,6 +15,7 @@ from helpers import (
     REFERENCE_N34,
     REFERENCE_S3,
     REFERENCE_TIMES,
+    dominant_frequency,
     reference_config,
 )
 
@@ -31,7 +32,7 @@ from nuanneal.clock import (
 )
 from nuanneal.evolution import evolve_series
 from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian, restrict_to_block
-from nuanneal.witnesses import compute_witnesses, dominant_frequency, entanglement_entropy
+from nuanneal.witnesses import compute_witnesses, entanglement_entropy
 
 
 def _report(num: int, name: str, failures: list[str]) -> None:

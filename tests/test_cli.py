@@ -206,6 +206,17 @@ BAD_CONFIGS = [
     ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
     ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
     ("max_rewinds-negative", {"aqae": "\n  max_rewinds: -1"}, "aqae: max_rewinds must be non-negative"),
+    # Clocks too large to build: a traceback from numpy used to end aqae and qubo.
+    (
+        "dt-too-small",
+        {"aqae": "\n  dt: 1.0"},
+        "aqae.dt: 1e+12 clock steps over 2 states each exceed the cap of 59049 clock states",
+    ),
+    (
+        "qubo-steps-too-many",
+        {"qubo": QUBO + "steps: 100000000000"},
+        "qubo.steps: 1e+11 clock steps over 4 states each exceed the cap of 59049 clock states",
+    ),
     # Unknown keys, including the dropped annealing knobs.
     ("top-unknown", {"sed": " 1"}, "sed: unknown key"),
     ("system-unknown", {"system": SYSTEM + "theta_12: 0.1"}, "system.theta_12: unknown key"),
@@ -466,6 +477,21 @@ class TestWitnessCommand:
         err = capsys.readouterr().err
         assert f"invalid state file {path}: {message}" in err
         assert "Traceback" not in err
+
+    def test_huge_n_modes_exits_2_at_once_naming_it(self, tmp_path):
+        # nf**n_modes alone would take hours to compute; the child process is
+        # killed if it is not done in a minute.
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"nf": 3, "n_modes": 10**10, "amplitudes": [[1.0, 0.0]]}))
+        run = subprocess.run(
+            [sys.executable, "-m", "nuanneal.cli", "witness", "--state", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])},
+            timeout=60,
+        )
+        message = "n_modes: 3**10000000000 basis states, more than the 1 amplitudes given"
+        assert (run.returncode, run.stderr) == (2, f"invalid state file {path}: {message}\n")
 
     def test_product_state_has_zero_witnesses(self, tmp_path):
         state_path = tmp_path / "state.json"

@@ -212,6 +212,18 @@ class TestBuildQubo:
                 a = apply_bit_updates(prior, bits, p)
                 assert abs(q.total_energy(bits) - a @ c @ a) < 1e-12
 
+    def test_live_slots_equal_the_full_qubo_with_the_other_bits_fixed_to_0(self, rng):
+        c = rng.normal(size=(5, 5))
+        prior = rng.normal(size=5)
+        params = DigitizationParams(k_bits=2, zoom=1, direction=Direction.REVERSE)
+        # Slots 0 and 2 are left out: their bits are 0, 1, 4 and 5.
+        reduced, kept = build_qubo(c + c.T, params, prior).fix_variables({0: 0, 1: 0, 4: 0, 5: 0})
+        q = build_qubo(c + c.T, params, prior, live=np.array([1, 3, 4]))
+        assert kept == [2, 3, 6, 7, 8, 9]
+        np.testing.assert_array_equal(q.lin, reduced.lin)
+        np.testing.assert_array_equal(q.quad, reduced.quad)
+        assert q.offset == reduced.offset
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_qubo(np.zeros((2, 2)), DigitizationParams(k_bits=1), np.zeros(3))

@@ -31,6 +31,16 @@ the header's ``"interaction_only":false`` entry deleted (the JSON report's
 the commit before ``BlockRunReport`` gave up NaN for None.  With no mixing,
 the initial state sits in one occupation block, so the JSON pins the report
 of skipped blocks and, run without the oracle, a null ``overlap``.
+
+``aqae_k2.csv`` and ``aqae_k2.json`` were added at the commit before the
+frozen-register QUBO moved into ``build_qubo``: the one pin with K = 2 bits
+per slot and a two-step clock (``dt`` is half the sample time).
+
+The three AQAE JSON pins were regenerated when ``BlockRunReport`` dropped
+``zoom_levels`` (``aqae.max_zoom`` for a run block, 0 for a skipped one,
+which the header and ``skipped`` already say).  Each equals its previous
+file loaded, with that key deleted from every block run, and dumped again
+as the CLI dumps it; the CSV pins did not change.
 """
 
 import json
@@ -62,6 +72,16 @@ AQAE_SKIPPED = {
     "initial_state": ["e", "mu", "mu"],
     "times": [1.1e12, 2.2e12],
     "aqae": {"k_bits": 1, "max_zoom": 8, "reads": 16, "sweeps": 32},
+}
+
+
+# Two bits per slot and a two-step clock: the sample time is 2 dt.
+AQAE_K2 = {
+    "seed": 7,
+    "system": {"n_modes": 2, "nf": 3, "xi": 0.9},
+    "initial_state": ["e", "tau"],
+    "times": [2.2e12],
+    "aqae": {"k_bits": 2, "max_zoom": 10, "reads": 24, "sweeps": 48, "dt": 1.1e12},
 }
 
 
@@ -123,3 +143,7 @@ def test_aqae_oracle_run(tmp_path):
 
 def test_aqae_skipped_blocks_without_oracle(tmp_path):
     _assert_aqae_pin(tmp_path, AQAE_SKIPPED, [], "aqae_skipped")
+
+
+def test_aqae_two_bits_two_steps(tmp_path):
+    _assert_aqae_pin(tmp_path, AQAE_K2, ["--oracle"], "aqae_k2")

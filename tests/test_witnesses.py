@@ -5,6 +5,7 @@ from helpers import (
     REFERENCE_N23,
     REFERENCE_S3,
     REFERENCE_TIMES,
+    dominant_frequency,
     entropy_oracle,
     exchange_witness_oracle,
     kron_chain,
@@ -20,7 +21,6 @@ from nuanneal.basis import BasisTag, StateVector, flavor_state
 from nuanneal.evolution import evolve_series
 from nuanneal.witnesses import (
     compute_witnesses,
-    dominant_frequency,
     entanglement_entropy,
     negativity,
     reduced_density,
