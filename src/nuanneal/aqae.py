@@ -14,16 +14,20 @@ run; the estimate is rewound to the latest checkpoint whose energy step was
 non-increasing and the loop resumes from there with fresh annealer seeds.
 
 The blocked driver runs one independent AQAE run per live mass-basis
-occupation block.
+occupation block and sample time, in parallel worker processes where the
+host has more than one usable CPU.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .annealer import AnnealSchedule, anneal
+from .annealer import AnnealSchedule, _native_kernel, anneal
 from .basis import BasisTag, StateVector, change_basis, mass_blocks
 from .clock import (
     ClockMatrix,
@@ -277,6 +281,46 @@ class BlockedAqaeResult:
     block_reports: list[list[BlockRunReport]]
 
 
+def _run_block(args: tuple) -> AqaeResult:
+    """One block run in a worker: :func:`run_aqae` looked up by name there,
+    as on the serial path."""
+    return run_aqae(*args)
+
+
+@contextmanager
+def _block_runs(calls: dict[tuple[int, int], tuple]):
+    """Yield ``result_of(t_idx, b_idx)``, which returns the :func:`run_aqae`
+    result of that key's call or raises that run's exception.  ``calls``
+    maps each key to the positional arguments (h, initial, dt, cfg, steps,
+    oracle).
+
+    The runs go to forked worker processes, one per usable CPU up to the
+    number of runs, largest block size times clock steps first.  They run
+    one after another in this process, in the order asked for, when one
+    worker would do, off Linux, or in a daemonic process (which may not have
+    children).  No worker outlives the block.
+    """
+    import multiprocessing
+
+    serial = not sys.platform.startswith("linux") or multiprocessing.current_process().daemon
+    workers = 1 if serial else min(len(os.sched_getaffinity(0)), len(calls))
+    if workers < 2:
+        yield lambda *key: run_aqae(*calls[key])
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Built here, before the fork, so that no worker compiles the step loop.
+    _native_kernel()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # Block size times clock steps, largest first; ties keep their order.
+        order = sorted(calls, key=lambda key: -len(calls[key][1]) * calls[key][4])
+        futures = {key: pool.submit(_run_block, calls[key]) for key in order}
+        yield lambda *key: futures[key].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_aqae_blocked(
     spec: SystemSpec,
     initial: StateVector,
@@ -292,11 +336,15 @@ def run_aqae_blocked(
     ``ZERO_BLOCK_NORM`` are annealed independently, reassembled, and rotated
     back before the witnesses are computed.  Each live block is one
     :func:`run_aqae` call, seeded from (config seed, time index, block
-    index).  ``dt`` selects the clock step size (``None`` evolves each time
-    in a single step).  A negative time or a ``dt`` that is not positive
-    raises ValueError before any block is annealed.  Nothing is
-    renormalised: a reassembled state whose norm drifts from 1 by more than
-    1e-12 raises ValueError.
+    index), so the runs are independent: they fan out to worker processes
+    (see :func:`_block_runs`) and are reassembled in (time, block) order,
+    which leaves every output as a serial run gives it.  The first failure
+    in that order raises a RuntimeError naming its block and time; a
+    MemoryError passes through unwrapped.  ``dt`` selects the clock step
+    size (``None`` evolves each time in a single step).  A negative time or
+    a ``dt`` that is not positive raises ValueError before any block is
+    annealed.  Nothing is renormalised: a reassembled state whose norm
+    drifts from 1 by more than 1e-12 raises ValueError.
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
@@ -321,36 +369,44 @@ def run_aqae_blocked(
         if weights[b_idx] > ZERO_BLOCK_NORM:
             h_blocks[b_idx] = restrict_to_block(h_mass, block)
 
-    reports: list[WitnessReport] = []
-    block_reports: list[list[BlockRunReport]] = []
+    # Every live (time, block) pair is one independent run, seeded from
+    # (config seed, time index, block index).
+    calls: dict[tuple[int, int], tuple] = {}
     for t_idx, t in enumerate(times):
         steps = max(1, round(t / dt)) if dt is not None else 1
         step_dt = t / steps if t > 0 else 0.0
-        per_block: list[BlockRunReport] = []
-        assembled = np.zeros(spec.dim, dtype=complex)
-        for b_idx, (block, sub, weight) in enumerate(zip(blocks, subs, weights)):
-            if b_idx not in h_blocks:
-                per_block.append(BlockRunReport(block.occupation, block.size, weight, skipped=True))
-                continue
+        for b_idx, h_block in h_blocks.items():
             block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
-            try:
-                res = run_aqae(h_blocks[b_idx], sub / weight, step_dt, block_cfg, steps, oracle)
-            except MemoryError:
-                raise
-            except Exception as exc:
-                raise RuntimeError(
-                    f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
-                ) from exc
-            assembled[np.asarray(block.indices)] = weight * res.amplitudes
-            last = res.diagnostics[-1]
-            per_block.append(
-                BlockRunReport(
-                    block.occupation, block.size, weight, skipped=False, converged=res.converged,
-                    rewinds=res.rewinds, final_energy=last["clock_energy"], overlap=last.get("overlap"),
+            calls[t_idx, b_idx] = (h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
+
+    reports: list[WitnessReport] = []
+    block_reports: list[list[BlockRunReport]] = []
+    with _block_runs(calls) as result_of:
+        for t_idx, t in enumerate(times):
+            per_block: list[BlockRunReport] = []
+            assembled = np.zeros(spec.dim, dtype=complex)
+            for b_idx, (block, weight) in enumerate(zip(blocks, weights)):
+                if b_idx not in h_blocks:
+                    per_block.append(BlockRunReport(block.occupation, block.size, weight, skipped=True))
+                    continue
+                try:
+                    res = result_of(t_idx, b_idx)
+                except MemoryError:
+                    raise
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
+                    ) from exc
+                assembled[np.asarray(block.indices)] = weight * res.amplitudes
+                last = res.diagnostics[-1]
+                per_block.append(
+                    BlockRunReport(
+                        block.occupation, block.size, weight, skipped=False, converged=res.converged,
+                        rewinds=res.rewinds, final_energy=last["clock_energy"], overlap=last.get("overlap"),
+                    )
                 )
-            )
-        mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)
-        flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)
-        reports.append(compute_witnesses(flavor_state, time=t))
-        block_reports.append(per_block)
+            mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)
+            flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)
+            reports.append(compute_witnesses(flavor_state, time=t))
+            block_reports.append(per_block)
     return BlockedAqaeResult(reports, block_reports)

@@ -416,14 +416,16 @@ def load_state(path: str | Path) -> tuple[StateVector, float]:
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("expected a JSON object")
-    nf = _number(data.get("nf"), "nf", int, 1)
+    nf = _number(data.get("nf"), "nf", int)
+    if nf not in (2, 3):
+        raise ConfigError(f"nf: must be 2 or 3, got {nf}")
     n_modes = _number(data.get("n_modes"), "n_modes", int, 1)
     pairs = _array(data.get("amplitudes"), "amplitudes")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ConfigError("amplitudes: expected a list of [re, im] pairs")
     # With nf >= 2, more modes than the amplitude count has bits means more
     # basis states than amplitudes; said without forming a huge nf**n_modes.
-    if nf > 1 and n_modes > len(pairs).bit_length():
+    if n_modes > len(pairs).bit_length():
         raise ConfigError(f"n_modes: {nf}**{n_modes} basis states, more than the {len(pairs)} amplitudes given")
     basis = BasisTag(_choice(data.get("basis", "flavor"), "basis", [b.value for b in BasisTag]))
     time = _number(data.get("time", 0.0), "time")

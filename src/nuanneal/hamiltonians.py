@@ -166,15 +166,22 @@ class HamiltonianMatrix:
 
 
 def _add_one_body(h: np.ndarray, spec: SystemSpec, basis: BasisTag) -> None:
-    """Add the sum over modes of the B-dot-generator operator into ``h``,
-    PMNS-rotated in the flavor basis."""
+    """Add the sum over modes of the B-dot-generator operator into ``h``.
+
+    In the flavor basis a neutrino mode's term is u (B.lambda) u^dag and an
+    antineutrino mode's its complex conjugate, u* (B.lambda) u^T: CP takes U
+    to U*, and antineutrinos sit in the conjugate representation, as in the
+    mixed pair term (Balantekin & Pehlivan, J. Phys. G 34, 47 (2007)).  The
+    two agree when U is real (nf=2, or delta_CP = 0).
+    """
     nf, n = spec.nf, spec.n_modes
     gens = generator_vector(nf)
     u = pmns_matrix(spec.pmns, nf)
     for p in range(n):
         local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
         if basis is BasisTag.FLAVOR:
-            local = u @ local @ u.conj().T
+            rot = u.conj() if spec.species[p] is Species.ANTINEUTRINO else u
+            local = rot @ local @ rot.conj().T
         left, right = nf**p, nf ** (n - p - 1)
         # A view of h with one nf x nf block per digit string of the other modes.
         blocks = np.einsum("aibajb->abij", h.reshape(left, nf, right, left, nf, right))
@@ -241,8 +248,9 @@ def build_hamiltonian(spec: SystemSpec, basis: BasisTag = BasisTag.FLAVOR) -> Ha
     """H = sum_p B_p . lambda_p + sum_{p<q} k_pq (x P_pq + y K_pq + z / nf).
 
     Each pair's (x, y, z) comes from ``_PAIR_FORMS`` by the spec's statistics
-    and the two modes' species.  The one-body term is conjugated by the
-    per-mode PMNS matrix in the flavor basis; an all-zero ``b_vector``
+    and the two modes' species.  In the flavor basis the one-body term is
+    rotated by the PMNS matrix U on neutrino modes and by U* on antineutrino
+    modes (see ``_add_one_body``); an all-zero ``b_vector``
     (``b_vector_choice: zero``) leaves the interaction term alone.  Only an
     all-neutrino Dirac system has a mass-basis form.
     """

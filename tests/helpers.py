@@ -18,7 +18,7 @@ import numpy as np
 from nuanneal.annealer import default_beta_range
 from nuanneal.basis import generator_vector, pmns_matrix
 from nuanneal.config import ExperimentConfig, resolve_config
-from nuanneal.hamiltonians import Statistics
+from nuanneal.hamiltonians import Species, Statistics
 
 # ---------------------------------------------------------------------------
 # Reference configurations
@@ -131,9 +131,10 @@ def pair_embed_oracle(op_a, op_b, mode_a, mode_b, n_modes) -> np.ndarray:
 def generator_sum_oracle(spec, basis_is_mass: bool = False) -> np.ndarray:
     """Generator-Kronecker construction of all three Hamiltonians.
 
-    One-body terms are B_p . lambda embedded by Kronecker chains (PMNS-rotated
-    in the flavor basis).  Every p < q pair adds k_pq times the generator
-    sum: sum_a lambda_a (x) lambda_a for like-species Dirac pairs,
+    One-body terms are B_p . lambda embedded by Kronecker chains; in the
+    flavor basis they are rotated by the PMNS matrix U on neutrino modes and
+    by U* on antineutrino modes.  Every p < q pair adds k_pq times the
+    generator sum: sum_a lambda_a (x) lambda_a for like-species Dirac pairs,
     -2 sum_a lambda_a* (x) lambda_a for neutrino-antineutrino pairs and
     2 sum_a Im lambda_a (x) Im lambda_a for Majorana pairs.  The generator
     sum is formed before it is scaled, as the library once did, so the
@@ -146,7 +147,8 @@ def generator_sum_oracle(spec, basis_is_mass: bool = False) -> np.ndarray:
     for p in range(n):
         local = np.tensordot(spec.b_vector[p], gens, axes=([0], [0]))
         if not basis_is_mass:
-            local = u @ local @ u.conj().T
+            rot = u.conj() if spec.species[p] is Species.ANTINEUTRINO else u
+            local = rot @ local @ rot.conj().T
         h += embed_oracle(local, p, n)
     for p in range(n):
         for q in range(p + 1, n):

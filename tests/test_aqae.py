@@ -1,6 +1,11 @@
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +24,24 @@ from nuanneal.aqae import (
     run_aqae_blocked,
 )
 from nuanneal.basis import BasisTag, StateVector, change_basis, mass_blocks
+from nuanneal.cli import main
 from nuanneal.clock import build_qubo, unembed_state
 from nuanneal.evolution import Evolver, propagator
 from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian, restrict_to_block
 from nuanneal.witnesses import compute_witnesses
 
 CFG = AqaeConfig(k_bits=1, max_zoom=12, reads=32, sweeps=64, seed=5)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable-CPU count by which run_aqae_blocked sizes its worker
+    pool: 1 keeps every block run in this process."""
+
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_count
 
 
 class TestConverged:
@@ -248,9 +265,11 @@ class TestRunAqaeBlocked:
         live = [rep.occupation for rep in result.block_reports[0] if not rep.skipped]
         assert sorted(cut) == sorted(live) and len(live) >= 2
 
-    def test_each_live_block_is_one_run_aqae_and_each_pass_one_anneal(self, monkeypatch):
+    def test_each_live_block_is_one_run_aqae_and_each_pass_one_anneal(self, monkeypatch, cpus):
         # The benchmark tracer's aqae.run and annealer.anneal spans wrap
-        # these two names of nuanneal.aqae.
+        # these two names of nuanneal.aqae.  Serial, so that the counters
+        # fill in this process.
+        cpus(1)
         runs, anneals = [], []
 
         def counting_run(h, *args, **kwargs):
@@ -290,9 +309,11 @@ class TestRunAqaeBlocked:
             run_aqae_blocked(cfg.spec, cfg.initial, dt, times, CFG)
         assert anneals == []
 
-    def test_norm_drift_raises_instead_of_being_renormalised(self, monkeypatch):
+    def test_norm_drift_raises_instead_of_being_renormalised(self, monkeypatch, cpus):
         # The first live block comes back with 1e-9 too much norm, far past
-        # the 1e-12 bound on the reassembled state.
+        # the 1e-12 bound on the reassembled state.  Serial, so that the
+        # counter fills in this process.
+        cpus(1)
         calls = []
 
         def drifting_run(*args, **kwargs):
@@ -402,3 +423,84 @@ class TestRunAqaeBlocked:
         with pytest.raises(RuntimeError, match=re.escape(expected)) as info:
             run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+class TestBlockRunsInWorkers:
+    """Two usable CPUs fork a pool of two workers, one CPU runs in-process."""
+
+    def test_parallel_and_serial_outputs_are_byte_identical(self, tmp_path, cpus):
+        config = tmp_path / "aqae.yaml"
+        config.write_text(
+            "seed: 3\n"
+            "system: {n_modes: 4, nf: 3, xi: 0.9}\n"
+            "initial_state: [e, e, tau, mu]\n"
+            "times: [1.1e12, 2.2e12]\n"
+            "aqae: {k_bits: 1, max_zoom: 6, reads: 8, sweeps: 16}\n"
+        )
+        outputs = []
+        for n in (2, 1):
+            cpus(n)
+            out = tmp_path / f"cpus{n}.csv"
+            assert main(["aqae", "--config", str(config), "--oracle", "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_no_worker_outlives_a_call(self, cpus):
+        cpus(2)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=3, reads=8, sweeps=16, seed=1)
+        run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11, 2e11], acfg)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_worker_names_its_block(self, monkeypatch, cpus):
+        # As test_one_failing_block_is_named, with the block run in a worker.
+        cpus(2)
+        target = next(i for i, b in enumerate(mass_blocks(3, 2)) if b.occupation == (1, 0, 1))
+        doomed = _derived_seed(CFG.seed, 0, target)
+        real_seed = aqae_mod._derived_seed
+        parent = os.getpid()
+
+        def failing_seed(*keys):
+            if keys == (doomed, 3) and os.getpid() != parent:
+                raise FloatingPointError("clock energy diverged")
+            return real_seed(*keys)
+
+        monkeypatch.setattr(aqae_mod, "_derived_seed", failing_seed)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        expected = "AQAE failed on block (1, 0, 1) (size 2) at time 1e+11: clock energy diverged"
+        with pytest.raises(RuntimeError, match=re.escape(expected)) as info:
+            run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], CFG)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(self):
+        # In a child interpreter, so that a hang is cut by the timeout.  The
+        # patched annealer ends any worker at once and raises in the caller.
+        script = """
+import os
+import nuanneal.aqae as aqae
+from nuanneal.config import resolve_config
+
+parent = os.getpid()
+
+def dying_anneal(q, s):
+    if os.getpid() != parent:
+        os._exit(3)
+    raise AssertionError("annealed in the calling process")
+
+aqae.anneal = dying_anneal
+os.sched_getaffinity = lambda pid: {0, 1}
+cfg = resolve_config({"system": {"n_modes": 2, "nf": 3}, "initial_state": ["e", "mu"]})
+try:
+    aqae.run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11], aqae.AqaeConfig(max_zoom=2, reads=4, sweeps=4))
+except RuntimeError as exc:
+    print(type(exc.__cause__).__name__)
+"""
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(aqae_mod.__file__).parents[1])},
+            timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (0, "BrokenProcessPool\n"), run.stderr

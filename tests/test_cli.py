@@ -453,6 +453,8 @@ class TestWitnessCommand:
             ("{not json", "invalid JSON: "),
             ({"amplitudes": None}, "amplitudes: required"),
             ({"nf": None}, "nf: required"),
+            ({"nf": 1}, "nf: must be 2 or 3, got 1"),
+            ({"nf": 4}, "nf: must be 2 or 3, got 4"),
             ({"n_modes": None}, "n_modes: required"),
             ({"basis": "spin"}, "basis: expected one of flavor, mass, got 'spin'"),
             ({"amplitudes": [[1.0, 0.0]] * 3}, "amplitudes: amplitude vector has shape (3,)"),
@@ -462,7 +464,7 @@ class TestWitnessCommand:
             ({"time": "later"}, "time: expected a finite float, got 'later'"),
         ],
         ids=[
-            "malformed-json", "no-amplitudes", "no-nf", "no-n_modes", "unknown-basis",
+            "malformed-json", "no-amplitudes", "no-nf", "nf-one", "nf-four", "no-n_modes", "unknown-basis",
             "wrong-count", "unnormalised", "ragged", "amplitude-word", "time-word",
         ],
     )

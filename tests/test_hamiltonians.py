@@ -176,13 +176,52 @@ class TestDiracHamiltonian:
 
 class TestNuAntinuHamiltonian:
     def test_zero_coupling_equals_one_body(self):
-        mixed = reference_config(
+        # Only the one-body terms remain: u (B.lambda) u^dag on the neutrino
+        # mode and its complex conjugate on the antineutrino mode, which
+        # differ at the default delta_CP.
+        spec = reference_config(
             2, 3, system_extra={"k_ev": 0.0, "species": ["neutrino", "antineutrino"]}
+        ).spec
+        u = pmns_matrix(spec.pmns, 3)
+        local = u @ np.tensordot(spec.b_vector[0], GELL_MANN, axes=1) @ u.conj().T
+        assert np.max(np.abs(local.imag)) > 1e-3 * np.max(np.abs(local))
+        expected = np.kron(local, np.eye(3)) + np.kron(np.eye(3), local.conj())
+        np.testing.assert_allclose(build_hamiltonian(spec).matrix, expected, rtol=0, atol=1e-26)
+
+    def test_two_modes_three_flavors_by_hand_at_nonzero_delta_cp(self):
+        # A neutrino (mode 0) and an antineutrino (mode 1).  With
+        # U = R23 U13(delta) R12 and D = b3 lambda3 + b8 lambda8, the
+        # antineutrino's vacuum term is U* D U^T, the neutrino's at -delta.
+        # The pair adds -2k (2K - 2/3), K = sum_ab |aa><bb|.
+        t12, t13, t23, delta = 0.59, 0.15, 0.84, 1.2
+        k_ev, angle, b3, b8 = 1.75e-12, 0.45, -1.9e-12, -3.5e-11
+        b = [0.0] * 8
+        b[2], b[7] = b3, b8
+        system = {
+            "theta12": t12, "theta13": t13, "theta23": t23, "delta_cp": delta, "k_ev": k_ev,
+            "angles": [[0.0, angle], [angle, 0.0]], "b_vector": b, "species": ["neutrino", "antineutrino"],
+        }
+        spec = reference_config(2, 3, system_extra=system).spec
+        (c12, s12), (c13, s13), (c23, s23) = [(math.cos(t), math.sin(t)) for t in (t12, t13, t23)]
+        e = np.exp(1j * delta)
+        u = np.array(
+            [
+                [c12 * c13, s12 * c13, s13 / e],
+                [-s12 * c23 - c12 * s23 * s13 * e, c12 * c23 - s12 * s23 * s13 * e, s23 * c13],
+                [s12 * s23 - c12 * c23 * s13 * e, -c12 * s23 - s12 * c23 * s13 * e, c23 * c13],
+            ]
         )
-        plain = reference_config(2, 3, system_extra={"k_ev": 0.0})
-        got = build_hamiltonian(mixed.spec)
-        ref = build_dirac_hamiltonian(plain.spec, BasisTag.FLAVOR)
-        np.testing.assert_allclose(got.matrix, ref.matrix, atol=1e-20)
+        d = np.diag([b3 + b8 / math.sqrt(3.0), -b3 + b8 / math.sqrt(3.0), -2.0 * b8 / math.sqrt(3.0)])
+        nu, nubar = u @ d @ u.conj().T, u.conj() @ d @ u.T
+        k_op = np.zeros((9, 9))
+        k_op[np.ix_([0, 4, 8], [0, 4, 8])] = 1.0
+        k = k_ev * (1.0 - math.cos(angle))
+        pair = -2.0 * k * (2.0 * k_op - 2.0 / 3.0 * np.eye(9))
+        expected = np.kron(nu, np.eye(3)) + np.kron(np.eye(3), nubar) + pair
+        got = build_hamiltonian(spec).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # The antineutrino term is not the neutrino's: delta_CP matters here.
+        assert np.max(np.abs(nubar - nu)) > 1e-3 * np.max(np.abs(nu))
 
     def test_matches_conjugated_kronecker_oracle(self):
         cfg = reference_config(
@@ -375,6 +414,50 @@ def test_block_spectra_sum_to_the_dense_spectrum(data, nf, n_modes):
         np.concatenate([np.linalg.eigvalsh(restrict_to_block(h, b).matrix) for b in mass_blocks(nf, n_modes)])
     )
     assert np.max(np.abs(pieces - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@given(
+    data=st.data(),
+    nf=st.sampled_from([2, 3]),
+    species=st.lists(st.sampled_from(["neutrino", "antineutrino"]), min_size=2, max_size=4).filter(
+        lambda s: len(set(s)) == 2
+    ),
+)
+def test_mixed_hamiltonian_conserves_net_charges_in_the_mass_basis(data, nf, species):
+    # Rotated to the mass basis by U on neutrino modes and U* on
+    # antineutrino modes, the mixed H keeps every net charge
+    # n_a(nu) - n_a(nubar): P swaps like species, K moves a nu-nubar pair
+    # from |aa> to |bb>, and the one-body terms are diagonal.  The bound is
+    # relative to max |H|, with no floor.
+    n_modes = len(species)
+    upper = np.triu(data.draw(arrays(float, (n_modes, n_modes), elements=st.floats(0.0, np.pi))), 1)
+    diagonal = [2] if nf == 2 else [2, 7]
+    b = np.zeros((n_modes, 3 if nf == 2 else 8))
+    # Subnormal one-body values fail the Hermiticity check of the flavor H.
+    one_body = st.floats(-2e-12, 2e-12, allow_subnormal=False)
+    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=one_body))
+    angle = st.floats(0.0, np.pi)
+    system = {
+        "k_ev": data.draw(st.floats(1e-13, 1e-11)),
+        "angles": (upper + upper.T).tolist(),
+        "b_vector": b.tolist(),
+        "species": species,
+        "theta12": data.draw(angle),
+        "theta13": data.draw(angle),
+        "theta23": data.draw(angle),
+        "delta_cp": data.draw(st.floats(0.0, 2 * np.pi)),
+    }
+    spec = reference_config(n_modes, nf, system_extra=system).spec
+    u = pmns_matrix(spec.pmns, nf)
+    rotation = np.ones((1, 1))
+    for s in species:
+        rotation = np.kron(rotation, u if s == "neutrino" else u.conj())
+    h = rotation.conj().T @ build_hamiltonian(spec).matrix @ rotation
+    digits = np.indices((nf,) * n_modes).reshape(n_modes, -1)
+    signs = np.array([1 if s == "neutrino" else -1 for s in species])
+    charges = np.stack([signs @ (digits == a) for a in range(nf)], axis=1)
+    other = np.any(charges[:, None, :] != charges[None, :, :], axis=2)
+    assert np.max(np.abs(h[other])) <= 1e-12 * np.max(np.abs(h))
 
 
 def _random_spec(rng, n: int, nf: int, **extra):
