@@ -142,6 +142,17 @@ def initial_estimate(clock: ClockMatrix) -> np.ndarray:
     return embed_state(np.concatenate([clock.initial, np.zeros(clock.dim - clock.register_dim)]))
 
 
+class RegisterCollapse(RuntimeError):
+    """A run's final register annealed to zero, leaving no state to normalise."""
+
+
+def clock_steps(t: float, dt: float | None) -> tuple[int, float]:
+    """(steps, step size) of the clock for time ``t`` >= 0: t / dt rounded to the nearest
+    integer (at least 1) steps of t / steps each, or one step of ``t`` when ``dt`` is None."""
+    steps = max(1, round(t / dt)) if dt is not None else 1
+    return steps, t / steps if t > 0 else 0.0
+
+
 def clock_qubo(
     clock: ClockMatrix,
     cemb: np.ndarray,
@@ -241,7 +252,7 @@ def run_aqae(
     final = _final_register(clock, estimate)
     norm = np.linalg.norm(final)
     if norm < 1e-12:
-        raise RuntimeError("AQAE final register collapsed to zero; no estimate available")
+        raise RegisterCollapse("AQAE final register collapsed to zero; no estimate available")
     converged_flag = history[-1] <= floor_at(cfg.max_zoom - 1)
     return AqaeResult(final / norm, estimate, converged_flag, diagnostics, rewinds)
 
@@ -339,9 +350,10 @@ def run_aqae_blocked(
     index), so the runs are independent: they fan out to worker processes
     (see :func:`_block_runs`) and are reassembled in (time, block) order,
     which leaves every output as a serial run gives it.  The first failure
-    in that order raises a RuntimeError naming its block and time; a
-    MemoryError passes through unwrapped.  ``dt`` selects the clock step
-    size (``None`` evolves each time in a single step).  A negative time or
+    in that order raises a RuntimeError naming its block and time (a
+    :class:`RegisterCollapse` when that run's final register collapsed); a
+    MemoryError passes through unwrapped.  Each time's clock comes from
+    :func:`clock_steps` at step size ``dt``.  A negative time or
     a ``dt`` that is not positive raises ValueError before any block is
     annealed.  Nothing is renormalised: a reassembled state whose norm
     drifts from 1 by more than 1e-12 raises ValueError.
@@ -373,8 +385,7 @@ def run_aqae_blocked(
     # (config seed, time index, block index).
     calls: dict[tuple[int, int], tuple] = {}
     for t_idx, t in enumerate(times):
-        steps = max(1, round(t / dt)) if dt is not None else 1
-        step_dt = t / steps if t > 0 else 0.0
+        steps, step_dt = clock_steps(t, dt)
         for b_idx, h_block in h_blocks.items():
             block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
             calls[t_idx, b_idx] = (h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
@@ -394,7 +405,8 @@ def run_aqae_blocked(
                 except MemoryError:
                     raise
                 except Exception as exc:
-                    raise RuntimeError(
+                    wrapper = RegisterCollapse if isinstance(exc, RegisterCollapse) else RuntimeError
+                    raise wrapper(
                         f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
                     ) from exc
                 assembled[np.asarray(block.indices)] = weight * res.amplitudes

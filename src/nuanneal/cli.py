@@ -24,12 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .annealer import AnnealSchedule, anneal
-from .aqae import BlockedAqaeResult, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
+from .aqae import (
+    BlockedAqaeResult, RegisterCollapse, clock_qubo, clock_steps, initial_estimate, run_aqae, run_aqae_blocked,
+)
 from .basis import mass_blocks
 from .clock import DigitizationParams, Direction, QuboProblem, build_clock, real_embed
 from .config import ConfigError, ExperimentConfig, load_config, load_state
 from .evolution import evolve_series
-from .hamiltonians import build_hamiltonian
+from .hamiltonians import Species, Statistics, build_hamiltonian, conserves_occupations
 from .witnesses import WitnessReport, compute_witnesses
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
@@ -98,9 +100,10 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     if q is None:
         raise ConfigError("qubo.time: required")
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
-    clock = build_clock(h, cfg.initial.amplitudes, q.time / q.steps, q.steps)
-    params = DigitizationParams(q.k_bits, q.zoom, q.direction)
-    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock), q.freeze_initial)
+    steps, step_dt = clock_steps(q.time, cfg.aqae_dt)
+    clock = build_clock(h, cfg.initial.amplitudes, step_dt, steps)
+    params = DigitizationParams(cfg.aqae.k_bits, q.zoom, q.direction)
+    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock))
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)
     return 0
@@ -163,6 +166,11 @@ def cmd_aqae(cfg: ExperimentConfig, out: str | None, oracle: bool) -> int:
         raise ConfigError("initial_state: required for aqae")
     if not cfg.times:
         raise ConfigError("times: required for aqae")
+    if not conserves_occupations(spec := cfg.spec):
+        mixed = Species.ANTINEUTRINO in spec.species
+        field = "statistics" if spec.statistics is Statistics.MAJORANA else "species" if mixed else "b_vector"
+        needs = "an all-neutrino Dirac system with one-body vectors on the diagonal generators"
+        raise ConfigError(f"system.{field}: blocked AQAE needs {needs}")
     result = run_aqae_blocked(cfg.spec, cfg.initial, cfg.aqae_dt, cfg.times, cfg.aqae, oracle=oracle)
     csv_text = _witness_csv(result.reports, cfg.spec.n_modes, _header_lines(cfg))
     if out is None:
@@ -185,11 +193,15 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
         raise ConfigError("bench.time: required")
 
     h = build_hamiltonian(cfg.spec, cfg.initial.basis)
+    steps, step_dt = clock_steps(bench.time, cfg.aqae_dt)
     lines = _header_lines(cfg)
     lines.append(f"zoom,{bench.axis},infidelity")
     for value in bench.values:
         run_cfg = replace(cfg.aqae, max_zoom=max(bench.zooms) + 1, **{bench.axis: value})
-        res = run_aqae(h, cfg.initial.amplitudes, bench.time, run_cfg, oracle=True)
+        try:
+            res = run_aqae(h, cfg.initial.amplitudes, step_dt, run_cfg, steps, oracle=True)
+        except RegisterCollapse as exc:
+            raise RegisterCollapse(f"AQAE failed at time {bench.time:g}, {bench.axis} {value}: {exc}") from None
         by_zoom = {
             entry["zoom"]: entry["overlap"]
             for entry in res.diagnostics
@@ -272,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except RegisterCollapse as exc:
+        print(f"{exc}; raise aqae.max_zoom, aqae.reads or aqae.sweeps", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -8,8 +8,8 @@ statistics is a one-key change, and ``b_vector_choice: zero`` drops the
 one-body term.
 
 This module alone turns input files into values: every number is read by
-:func:`_number` and every flag by :func:`_flag`, an unknown key is rejected,
-and a failure raises :class:`ConfigError` naming the field path.
+:func:`_number`, an unknown key is rejected, and a failure raises
+:class:`ConfigError` naming the field path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .aqae import AqaeConfig
+from .aqae import AqaeConfig, clock_steps
 from .basis import MAX_BASIS_DIM, BasisTag, PmnsParams, StateVector, flavor_state, mass_blocks
 from .clock import Direction
 from .hamiltonians import (
@@ -51,6 +51,9 @@ DEFAULTS = {
 
 DEFAULT_XI = 0.9
 DEFAULT_PAIR_ANGLE = math.pi / 4.0
+# The least nonzero one-body coefficient or coupling.  Below it u (B . lambda) u^dag
+# is rounded in subnormal steps, which no relative Hermiticity bound can hold.
+MIN_COEFFICIENT = np.finfo(float).tiny / np.finfo(float).eps
 
 SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "angles", "species", "b_vector")
 AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "max_rewinds")
@@ -75,12 +78,6 @@ def _number(value, name: str, kind: type = float, minimum=-math.inf):
         pass
     bound = f" >= {minimum}" if minimum > -math.inf else ""
     raise ConfigError(f"{name}: expected a finite {kind.__name__}{bound}, got {value!r}")
-
-
-def _flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name}: expected true or false, got {value!r}")
-    return value
 
 
 def _choice(value, name: str, choices) -> str:
@@ -112,6 +109,12 @@ def _mapping(value, name: str, keys) -> dict:
     return value
 
 
+def _check_not_tiny(values, name: str) -> None:
+    for value in np.ravel(values):
+        if 0 < abs(value) < MIN_COEFFICIENT:
+            raise ConfigError(f"{name}: nonzero {value:.6g} is below the least magnitude {MIN_COEFFICIENT:.6g}")
+
+
 def _resolve_angles(system: dict, n_modes: int) -> np.ndarray:
     if "angles" in system:
         angles = _array(system["angles"], "system.angles")
@@ -120,10 +123,11 @@ def _resolve_angles(system: dict, n_modes: int) -> np.ndarray:
                 f"system.angles: expected an {n_modes}x{n_modes} matrix, got shape {angles.shape}"
             )
         return angles
-    if "xi" in system or n_modes > 2:
+    if "xi" in system or n_modes != 2:
         xi = _number(system.get("xi", DEFAULT_XI), "system.xi")
         try:
-            return anisotropic_angles(xi, n_modes)
+            # One mode has no pairs: the 1x1 corner of the two-mode matrix, [[0.0]].
+            return anisotropic_angles(xi, max(n_modes, 2))[:n_modes, :n_modes]
         except ValueError as exc:
             raise ConfigError(f"system.xi: {exc}") from None
     # Two modes, nothing specified: the reference head-on pair angle.
@@ -140,9 +144,11 @@ def _resolve_species(system: dict, n_modes: int) -> tuple[Species, ...]:
     return tuple(Species(_choice(x, f"system.species[{i}]", names)) for i, x in enumerate(raw))
 
 
-def _check_clock_size(name: str, register_dim: int, steps: float) -> None:
-    """Reject a clock of ``steps`` steps over registers of ``register_dim``
-    states, (steps + 1) registers in all, above ``MAX_BASIS_DIM`` states."""
+def _check_clock_size(name: str, register_dim: int, t: float, dt: float | None) -> None:
+    """Reject the clock of :func:`clock_steps` (t, dt) if its (steps + 1) registers of
+    ``register_dim`` states exceed ``MAX_BASIS_DIM`` states in all.  A step count
+    past the cap is rejected unrounded: rounding fails on infinity."""
+    steps = t / dt if dt is not None and t / dt >= MAX_BASIS_DIM else clock_steps(t, dt)[0]
     if register_dim * (steps + 1) > MAX_BASIS_DIM:
         raise ConfigError(
             f"{name}: {steps:.6g} clock steps over {register_dim} states each exceed the cap of "
@@ -187,6 +193,7 @@ def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
         delta_cp=number("delta_cp"),
     )
     k_ev = number("k_ev", 0.0)
+    _check_not_tiny(k_ev, "system.k_ev")
 
     statistics = system.get("statistics", DEFAULTS["statistics"])
     statistics = Statistics(_choice(statistics, "system.statistics", [s.value for s in Statistics]))
@@ -198,6 +205,8 @@ def build_system_spec(system: dict) -> tuple[SystemSpec, dict]:
         b_rows = np.stack(
             [b_vector_preset(choice, nf, delta_m2, big_delta_m2, e) for e in energies]
         )
+    where = "system.b_vector" if "b_vector" in system else "system.energy_ev, delta_m2_ev2 or big_delta_m2_ev2"
+    _check_not_tiny(b_rows, where)
     angles = _resolve_angles(system, n_modes)
     species = _resolve_species(system, n_modes)
     try:
@@ -264,14 +273,12 @@ def build_aqae_config(section: dict, seed: int) -> tuple[AqaeConfig, float | Non
 
 @dataclass(frozen=True)
 class QuboConfig:
-    """The ``qubo`` section: one clock QUBO export by ``nuanneal qubo``."""
+    """The ``qubo`` section: one clock QUBO export by ``nuanneal qubo``, with
+    ``aqae.k_bits`` bits per slot and the initial register frozen."""
 
     time: float
-    steps: int
-    k_bits: int
     zoom: int
     direction: Direction
-    freeze_initial: bool
 
 
 @dataclass(frozen=True)
@@ -290,29 +297,23 @@ def _int_list(raw, name: str, minimum: int) -> tuple[int, ...]:
     return tuple(_number(v, f"{name}[{i}]", int, minimum) for i, v in enumerate(raw))
 
 
-def _resolve_qubo(raw, aqae: AqaeConfig, spec: SystemSpec) -> QuboConfig | None:
-    section = _mapping(raw, "qubo", ("time", "steps", "k_bits", "zoom", "direction", "freeze_initial"))
+# nuanneal qubo and nuanneal bench build their clocks over the whole basis.
+def _resolve_qubo(raw, spec: SystemSpec, dt: float | None) -> QuboConfig | None:
+    section = _mapping(raw, "qubo", ("time", "zoom", "direction"))
     if not section:
         return None
     direction = _choice(section.get("direction", "forward"), "qubo.direction", [d.value for d in Direction])
-    steps = _number(section.get("steps", 1), "qubo.steps", int, 1)
-    # nuanneal qubo builds the clock over the whole basis.
-    _check_clock_size("qubo.steps", spec.dim, steps)
-    return QuboConfig(
-        time=_number(section.get("time"), "qubo.time"),
-        steps=steps,
-        k_bits=_number(section.get("k_bits", aqae.k_bits), "qubo.k_bits", int, 1),
-        zoom=_number(section.get("zoom", 0), "qubo.zoom", int, 0),
-        direction=Direction(direction),
-        freeze_initial=_flag(section.get("freeze_initial", True), "qubo.freeze_initial"),
-    )
+    time = _number(section.get("time"), "qubo.time", float, 0.0)
+    _check_clock_size("qubo.time", spec.dim, time, dt)
+    return QuboConfig(time, _number(section.get("zoom", 0), "qubo.zoom", int, 0), Direction(direction))
 
 
-def _resolve_bench(raw, aqae: AqaeConfig) -> BenchConfig | None:
+def _resolve_bench(raw, aqae: AqaeConfig, spec: SystemSpec, dt: float | None) -> BenchConfig | None:
     section = _mapping(raw, "bench", ("time", "axis", "values", "zooms"))
     if not section:
         return None
-    time = _number(section.get("time"), "bench.time")
+    time = _number(section.get("time"), "bench.time", float, 0.0)
+    _check_clock_size("bench.time", spec.dim, time, dt)
     axis = _choice(section.get("axis", "k_bits"), "bench.axis", ("k_bits", "sweeps", "reads"))
     least = 0 if axis == "sweeps" else 1
     values = _int_list(section.get("values"), "bench.values", least)
@@ -387,11 +388,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     times = _resolve_times(raw["times"]) if "times" in raw else []
     aqae_cfg, aqae_dt = build_aqae_config(raw.get("aqae"), seed)
     if aqae_dt is not None and times:
-        # run_aqae_blocked's clock over the largest block at the last time.  A
-        # ratio past the cap is rejected unrounded: round() fails on infinity.
+        # run_aqae_blocked's clock over the largest block at the last time.
         largest = max(block.size for block in mass_blocks(spec.nf, spec.n_modes))
-        ratio = max(times) / aqae_dt
-        _check_clock_size("aqae.dt", largest, max(1, round(ratio)) if ratio < MAX_BASIS_DIM else ratio)
+        _check_clock_size("aqae.dt", largest, max(times), aqae_dt)
     return ExperimentConfig(
         raw=raw,
         seed=seed,
@@ -401,8 +400,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         times=times,
         aqae=aqae_cfg,
         aqae_dt=aqae_dt,
-        qubo=_resolve_qubo(raw.get("qubo"), aqae_cfg, spec),
-        bench=_resolve_bench(raw.get("bench"), aqae_cfg),
+        qubo=_resolve_qubo(raw.get("qubo"), spec, aqae_dt),
+        bench=_resolve_bench(raw.get("bench"), aqae_cfg, spec, aqae_dt),
     )
 
 

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from helpers import BAD_QUBO_TEXTS, OVERFLOWING_QUBO_TEXTS, REFERENCE_S3, REFERENCE_TIMES
 
 import nuanneal.cli as cli_mod
 from nuanneal.annealer import exhaustive_minimum
+from nuanneal.aqae import run_aqae
 from nuanneal.cli import main
 from nuanneal.clock import QuboProblem
 
@@ -31,6 +33,8 @@ initial_state: [e, e, tau, mu]
 times: [1.1e12, 2.2e12, 3.3e12, 4.4e12, 5.5e12, 6.6e12, 7.7e12, 8.8e12, 9.9e12]
 seed: 7
 """
+
+BENCH_CONFIG = Path(__file__).parent.parent / "configs" / "two_mode_bench.yaml"
 
 SMALL_YAML = """\
 system:
@@ -154,6 +158,16 @@ class TestEvolveCommand:
         for row in rows:
             assert all(float(v) == 0.0 for v in row[1:])
 
+    def test_one_mode_system_runs_without_angles(self, tmp_path):
+        # One mode has no pairs; it used to get the two-mode default angles.
+        for xi in ("", "\n  xi: 0.5"):
+            cfg = tmp_path / "one.yaml"
+            cfg.write_text(config_text(system="\n  n_modes: 1\n  nf: 3" + xi, initial_state=" [e]"))
+            out = tmp_path / "one.csv"
+            assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+            _, columns, rows = read_csv(out)
+            assert columns == ["time_ev_inv", "S_1"] and len(rows) == 1
+
     def test_self_conjugate_three_flavor_entropy_ceiling(self, tmp_path):
         # Three-flavor self-conjugate dynamics climb past the two-flavor
         # entropy ceiling of 1 bit but never exceed log2(3).
@@ -202,7 +216,27 @@ BAD_CONFIGS = [
         "times.start: expected a finite float >= 0.0, got '-1.0e12'",
     ),
     ("theta12-bool", {"system": SYSTEM + "theta12: true"}, "system.theta12: expected a finite float, got True"),
-    ("freeze_initial-string", {"qubo": QUBO + 'freeze_initial: "false"'}, "qubo.freeze_initial: expected true"),
+    # Subnormal one-body terms once failed the Hermiticity check with a traceback.
+    (
+        "b_vector-subnormal",
+        {
+            "system": "\n  n_modes: 2\n  nf: 3\n  species: [neutrino, antineutrino]\n  theta23: 2.0\n  xi: 1.0"
+            "\n  b_vector: [0, 0, 2.2e-313, 0, 0, 0, 0, 2.2e-313]"
+        },
+        "system.b_vector: nonzero 2.2e-313 is below the least magnitude 1.00208e-292",
+    ),
+    (
+        "energy-huge",
+        {"system": SYSTEM + "energy_ev: 1.0e300"},
+        "system.energy_ev, delta_m2_ev2 or big_delta_m2_ev2: nonzero -6.1e-304 is below",
+    ),
+    ("k_ev-tiny", {"system": SYSTEM + "k_ev: 1.0e-300"}, "system.k_ev: nonzero 1e-300 is below"),
+    # A negative time used to give a zero-length clock step.
+    (
+        "bench-time-negative",
+        {"bench": "\n  time: -1.0e12\n  values: [1]"},
+        "bench.time: expected a finite float >= 0.0, got '-1.0e12'",
+    ),
     ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
     ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
     ("max_rewinds-negative", {"aqae": "\n  max_rewinds: -1"}, "aqae: max_rewinds must be non-negative"),
@@ -214,8 +248,13 @@ BAD_CONFIGS = [
     ),
     (
         "qubo-steps-too-many",
-        {"qubo": QUBO + "steps: 100000000000"},
-        "qubo.steps: 1e+11 clock steps over 4 states each exceed the cap of 59049 clock states",
+        {"times": " []", "aqae": "\n  dt: 1.0", "qubo": QUBO},
+        "qubo.time: 1e+12 clock steps over 4 states each exceed the cap of 59049 clock states",
+    ),
+    (
+        "bench-steps-too-many",
+        {"times": " []", "aqae": "\n  dt: 1.0", "bench": BENCH},
+        "bench.time: 1e+12 clock steps over 4 states each exceed the cap of 59049 clock states",
     ),
     # Unknown keys, including the dropped annealing knobs.
     ("top-unknown", {"sed": " 1"}, "sed: unknown key"),
@@ -229,6 +268,10 @@ BAD_CONFIGS = [
     ("times-unknown", {"times": " {start: 0.0, stop: 1.0, count: 2, step: 1}"}, "times.step: unknown key"),
     ("aqae-unknown", {"aqae": "\n  max_zom: 5"}, "aqae.max_zom: unknown key"),
     ("qubo-unknown", {"qubo": QUBO + "zom: 1"}, "qubo.zom: unknown key"),
+    # The export takes K from aqae.k_bits, its clock from aqae.dt, and always freezes.
+    ("qubo-k_bits", {"qubo": QUBO + "k_bits: 1"}, "qubo.k_bits: unknown key"),
+    ("qubo-steps", {"qubo": QUBO + "steps: 1"}, "qubo.steps: unknown key"),
+    ("freeze_initial-string", {"qubo": QUBO + 'freeze_initial: "false"'}, "qubo.freeze_initial: unknown key"),
     ("bench-unknown", {"bench": BENCH + "zoom: [1]"}, "bench.zoom: unknown key"),
     ("penalty_weight", {"aqae": "\n  penalty_weight: 0.1"}, "aqae.penalty_weight: unknown key"),
     ("beta_start", {"aqae": "\n  beta_start: 0.1"}, "aqae.beta_start: unknown key"),
@@ -295,7 +338,7 @@ def test_largest_supported_system_passes_the_cap(tmp_path):
 class TestQuboAnnealRoundTrip:
     def test_export_then_anneal(self, small_cfg, tmp_path):
         qubo_path = tmp_path / "clock.qubo"
-        cfg_text = small_cfg.read_text() + "qubo:\n  time: 1.0e12\n  k_bits: 1\n"
+        cfg_text = small_cfg.read_text() + "qubo:\n  time: 1.0e12\n"
         small_cfg.write_text(cfg_text)
         assert main(["qubo", "--config", str(small_cfg), "--out", str(qubo_path)]) == 0
 
@@ -426,12 +469,9 @@ class TestQuboAnnealRoundTrip:
         assert f"invalid QUBO file {path}: its header declares no variables" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("time", "two"), ("steps", "two"), ("k_bits", "two"), ("zoom", "two"), ("zoom", "1.5")],
-    )
+    @pytest.mark.parametrize("field, value", [("time", "two"), ("zoom", "two"), ("zoom", "1.5")])
     def test_non_numeric_qubo_field_is_a_config_error(self, small_cfg, tmp_path, capsys, field, value):
-        section = {"time": "1.0e12", "steps": "1", "k_bits": "1", "zoom": "0"}
+        section = {"time": "1.0e12", "zoom": "0"}
         section[field] = value
         lines = "".join(f"  {key}: {value}\n" for key, value in section.items())
         small_cfg.write_text(small_cfg.read_text() + "qubo:\n" + lines)
@@ -439,9 +479,19 @@ class TestQuboAnnealRoundTrip:
         assert f"qubo.{field}: expected" in capsys.readouterr().err
 
     def test_out_of_range_qubo_field_is_a_config_error(self, small_cfg, tmp_path, capsys):
-        small_cfg.write_text(small_cfg.read_text() + "qubo:\n  time: 1.0e12\n  steps: 0\n")
+        small_cfg.write_text(small_cfg.read_text() + "qubo:\n  time: -1.0e12\n")
         assert main(["qubo", "--config", str(small_cfg)]) == 2
-        assert "qubo.steps: expected a finite int >= 1" in capsys.readouterr().err
+        assert "qubo.time: expected a finite float >= 0.0, got '-1.0e12'" in capsys.readouterr().err
+
+    def test_export_clock_takes_its_steps_from_aqae_dt(self, tmp_path):
+        # Two steps of 5e11 over nine states: 18 live slots, real and imaginary.
+        raw = yaml.safe_load(BENCH_CONFIG.read_text())
+        raw["aqae"]["dt"] = 5.0e11
+        path = tmp_path / "bench.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "clock.qubo"
+        assert main(["qubo", "--config", str(path), "--out", str(out)]) == 0
+        assert QuboProblem.from_text(out.read_text()).size == 36
 
 
 class TestWitnessCommand:
@@ -534,8 +584,67 @@ class TestAqaeCommand:
             if not r["skipped"]:
                 assert r["overlap"] > 1 - 1e-4
 
+    @pytest.mark.parametrize(
+        "system, field",
+        [
+            ("statistics: majorana", "statistics"),
+            ("species: [neutrino, antineutrino]", "species"),
+            ("b_vector: [1.0e-12, 0.0, -1.8e-12]", "b_vector"),
+        ],
+        ids=["majorana", "mixed-species", "off-diagonal-b_vector"],
+    )
+    def test_system_without_occupation_blocks_exits_2_naming_the_field(self, tmp_path, capsys, system, field):
+        # These used to end in a ValueError traceback from run_aqae_blocked.
+        path = tmp_path / "unblocked.yaml"
+        path.write_text(config_text(system=SYSTEM + system))
+        out = tmp_path / "aqae.csv"
+        assert main(["aqae", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: system.{field}: blocked AQAE needs an all-neutrino Dirac system" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_collapsed_register_exits_2_in_one_line(self, small_cfg, capsys):
+        small_cfg.write_text(
+            "system: {n_modes: 2, nf: 3}\ninitial_state: [e, mu]\ntimes: [1.0e12]\n"
+            "aqae: {max_zoom: 1, reads: 1, sweeps: 0}\n"
+        )
+        assert main(["aqae", "--config", str(small_cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "AQAE failed on block (0, 2, 0) (size 1) at time 1e+12: AQAE final register collapsed to zero; "
+            "no estimate available; raise aqae.max_zoom, aqae.reads or aqae.sweeps\n"
+        )
+
 
 class TestBenchCommand:
+    def test_clock_takes_its_steps_from_aqae_dt(self, monkeypatch, tmp_path):
+        raw = yaml.safe_load(BENCH_CONFIG.read_text())
+        raw["aqae"]["dt"] = 5.0e11
+        raw["bench"].update(values=[16], zooms=[3])
+        path = tmp_path / "bench.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        clocks = []
+
+        def recording_run(h, initial, dt, cfg, steps=1, oracle=False):
+            clocks.append((dt, steps))
+            return run_aqae(h, initial, dt, cfg, steps, oracle)
+
+        monkeypatch.setattr(cli_mod, "run_aqae", recording_run)
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "bench.csv")]) == 0
+        assert clocks == [(5.0e11, 2)]
+
+    def test_collapsed_register_exits_2_in_one_line(self, small_cfg, capsys):
+        small_cfg.write_text(
+            "system: {n_modes: 2, nf: 3}\ninitial_state: [e, mu]\naqae: {max_zoom: 2, reads: 4, sweeps: 4}\n"
+            "bench: {time: 1.0e12, axis: sweeps, values: [4], zooms: [0]}\n"
+        )
+        assert main(["bench", "--config", str(small_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "AQAE failed at time 1e+12, sweeps 4: AQAE final register collapsed to zero; no estimate "
+            "available; raise aqae.max_zoom, aqae.reads or aqae.sweeps\n"
+        )
+
     def test_zoom_dominates_infidelity(self, small_cfg, tmp_path):
         cfg_text = small_cfg.read_text() + (
             "bench:\n  time: 1.0e12\n  axis: sweeps\n  values: [64]\n  zooms: [0, 20]\n"

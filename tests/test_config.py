@@ -98,7 +98,7 @@ class TestResolveConfig:
             bench={"time": 2e12, "axis": "sweeps", "values": [0, "16"]},
         )
         cfg = resolve_config(raw)
-        assert cfg.qubo == QuboConfig(1e12, 1, 2, 0, Direction.FORWARD, True)
+        assert cfg.qubo == QuboConfig(1e12, 0, Direction.FORWARD)
         assert cfg.bench == BenchConfig(2e12, "sweeps", (0, 16), (8,))
         # The header records both sections as written.
         assert cfg.resolved()["qubo"] == {"time": "1.0e12"}
@@ -148,7 +148,7 @@ class TestValidationErrors:
             ({"system": {"n_modes": 2, "nf": 2, "pair_angle": 0.3}}, "pair_angle"),
             ({"system": {"n_modes": 2, "nf": 2, "angles": [[0, 1], [1]]}}, "system.angles: expected rows"),
             ({"system": {"n_modes": 2, "nf": 2, "energy_ev": [1e7, "x"]}}, "system.energy_ev[1]"),
-            ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"steps": 2}}, "qubo.time: required"),
+            ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"zoom": 2}}, "qubo.time: required"),
             ({"system": {"n_modes": 2, "nf": 2}, "qubo": {"time": 1, "direction": "up"}}, "qubo.direction"),
             ({"system": {"n_modes": 2, "nf": 2}, "bench": {"time": 1, "axis": "zoom"}}, "bench.axis"),
             ({"system": {"n_modes": 2, "nf": 2}, "bench": {"time": 1, "values": []}}, "bench.values"),

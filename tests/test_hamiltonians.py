@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nuanneal.basis import GELL_MANN, BasisTag, mass_blocks, pmns_matrix
+from nuanneal.config import MIN_COEFFICIENT
 from nuanneal.hamiltonians import (
     B_VECTOR_CHOICES,
     HamiltonianMatrix,
@@ -392,6 +393,10 @@ class TestRestrictToBlock:
             restrict_to_block(h, block)
 
 
+# One-body values in the range config accepts: zero, or at least MIN_COEFFICIENT in magnitude.
+ONE_BODY = st.one_of(st.just(0.0), st.floats(MIN_COEFFICIENT, 2e-12), st.floats(-2e-12, -MIN_COEFFICIENT))
+
+
 @given(data=st.data(), nf=st.sampled_from([2, 3]), n_modes=st.integers(2, 4))
 def test_block_spectra_sum_to_the_dense_spectrum(data, nf, n_modes):
     # Random couplings and one-body vectors on the diagonal generators only,
@@ -400,7 +405,7 @@ def test_block_spectra_sum_to_the_dense_spectrum(data, nf, n_modes):
     upper = np.triu(data.draw(arrays(float, (n_modes, n_modes), elements=st.floats(0.0, np.pi))), 1)
     diagonal = [2] if nf == 2 else [2, 7]
     b = np.zeros((n_modes, 3 if nf == 2 else 8))
-    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=st.floats(-2e-12, 2e-12)))
+    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=ONE_BODY))
     system = {
         "k_ev": data.draw(st.floats(1e-13, 1e-11)),
         "angles": (upper + upper.T).tolist(),
@@ -433,9 +438,7 @@ def test_mixed_hamiltonian_conserves_net_charges_in_the_mass_basis(data, nf, spe
     upper = np.triu(data.draw(arrays(float, (n_modes, n_modes), elements=st.floats(0.0, np.pi))), 1)
     diagonal = [2] if nf == 2 else [2, 7]
     b = np.zeros((n_modes, 3 if nf == 2 else 8))
-    # Subnormal one-body values fail the Hermiticity check of the flavor H.
-    one_body = st.floats(-2e-12, 2e-12, allow_subnormal=False)
-    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=one_body))
+    b[:, diagonal] = data.draw(arrays(float, (n_modes, len(diagonal)), elements=ONE_BODY))
     angle = st.floats(0.0, np.pi)
     system = {
         "k_ev": data.draw(st.floats(1e-13, 1e-11)),
