@@ -158,15 +158,14 @@ def clock_qubo(
     cemb: np.ndarray,
     params: DigitizationParams,
     estimate: np.ndarray,
-    freeze: bool = True,
 ) -> tuple[QuboProblem, list[int]]:
     """QUBO of one pass around ``estimate`` over ``cemb = real_embed(clock)``,
-    and the original indices of its bits.  ``freeze`` fixes the bits of the
-    initial register's real and imaginary slots to 0, keeping its values: the
-    QUBO is then built on the live slots only, with the same coefficients as
-    the full QUBO with those bits fixed."""
+    and the original indices of its bits.  The bits of the initial register's
+    real and imaginary slots are fixed to 0, keeping its values: the QUBO is
+    built on the live slots only, with the same coefficients as the full
+    QUBO with those bits fixed."""
     d, half, k = clock.register_dim, clock.dim, params.k_bits
-    live = np.r_[d:half, half + d : 2 * half] if freeze else np.arange(2 * half)
+    live = np.r_[d:half, half + d : 2 * half]
     problem = build_qubo(cemb, params, estimate, live)
     return problem, (live[:, None] * k + np.arange(k)).ravel().tolist()
 
@@ -410,7 +409,9 @@ def run_aqae_blocked(
                         f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
                     ) from exc
                 assembled[np.asarray(block.indices)] = weight * res.amplitudes
-                last = res.diagnostics[-1]
+                # A run that ends on a rewind kept its last pass's estimate,
+                # and a rewind record holds no overlap.
+                last = next(e for e in reversed(res.diagnostics) if e["direction"] != "rewind")
                 per_block.append(
                     BlockRunReport(
                         block.occupation, block.size, weight, skipped=False, converged=res.converged,

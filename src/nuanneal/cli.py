@@ -41,6 +41,10 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT.format(float(x))
 
 
+def _hint(keys: list[str]) -> str:
+    return "raise " + ", ".join(keys[:-1]) + " or " + keys[-1]
+
+
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
     blob = json.dumps(cfg.resolved(), sort_keys=True, separators=(",", ":"))
     return [f"# config: {blob}", f"# seed: {cfg.seed}"]
@@ -180,6 +184,12 @@ def cmd_aqae(cfg: ExperimentConfig, out: str | None, oracle: bool) -> int:
         out_path = Path(out)
         out_path.write_text(csv_text)
         out_path.with_suffix(".json").write_text(_blocked_report_json(cfg, result))
+    keys = (["aqae.dt"] if cfg.aqae_dt is not None else []) + ["aqae.max_zoom", "aqae.reads", "aqae.sweeps"]
+    for t, per_time in zip(cfg.times, result.block_reports):
+        live = [rep for rep in per_time if not rep.skipped]
+        if unconverged := sum(not rep.converged for rep in live):
+            print(f"{unconverged} of {len(live)} live blocks unconverged at time {t:g}; {_hint(keys)}",
+                  file=sys.stderr)
     return 0
 
 
@@ -201,7 +211,11 @@ def cmd_bench(cfg: ExperimentConfig, out: str | None) -> int:
         try:
             res = run_aqae(h, cfg.initial.amplitudes, step_dt, run_cfg, steps, oracle=True)
         except RegisterCollapse as exc:
-            raise RegisterCollapse(f"AQAE failed at time {bench.time:g}, {bench.axis} {value}: {exc}") from None
+            # The bench sets aqae.max_zoom from bench.zooms and the axis key from bench.values.
+            keys = ["bench.zooms", "bench.values"] + [f"aqae.{k}" for k in ("reads", "sweeps") if k != bench.axis]
+            print(f"AQAE failed at time {bench.time:g}, {bench.axis} {value}: {exc}; {_hint(keys)}",
+                  file=sys.stderr)
+            return 2
         by_zoom = {
             entry["zoom"]: entry["overlap"]
             for entry in res.diagnostics

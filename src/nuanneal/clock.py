@@ -74,14 +74,13 @@ def build_clock(
     initial: np.ndarray,
     dt: float,
     steps: int = 1,
-    penalty_weight: float | None = None,
 ) -> ClockMatrix:
     """Clock matrix whose ground state is the exact trajectory of ``initial``.
 
     Each step contributes 1/2 ||a_{t+1} - U a_t||^2 to the quadratic form;
     the penalty term weight * (I - |psi0><psi0|) on the first register makes
     the trajectory the unique minimizer.  Any positive weight is correct at
-    the matrix level; the default 2 * ||C - C0||_2 keeps a healthy spectral
+    the matrix level; the weight 2 * ||C - C0||_2 keeps a healthy spectral
     gap for annealing.
     """
     if steps < 1:
@@ -104,9 +103,7 @@ def build_clock(
         c[hi : hi + d, hi : hi + d] += 0.5 * eye
         c[hi : hi + d, lo:hi] += -0.5 * u
         c[lo:hi, hi : hi + d] += -0.5 * u.conj().T
-    if penalty_weight is None:
-        penalty_weight = 2.0 * float(np.linalg.norm(c, 2))
-    c[:d, :d] += penalty_weight * (eye - np.outer(psi0, psi0.conj()))
+    c[:d, :d] += 2.0 * float(np.linalg.norm(c, 2)) * (eye - np.outer(psi0, psi0.conj()))
     return ClockMatrix(c, steps, d, psi0)
 
 

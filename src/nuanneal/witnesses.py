@@ -45,18 +45,16 @@ def entanglement_entropy(state: StateVector, mode: int) -> float:
 def negativity(state: StateVector, mode_i: int, mode_j: int) -> float:
     """Logarithmic negativity between two modes, in bits.
 
-    The partial transpose acts on the second listed mode; the result is
-    symmetric under swapping the pair.
+    The partial transpose acts on the higher mode; transposing the other
+    gives the same spectrum, so the result is symmetric under swapping the
+    pair.
     """
     if mode_i == mode_j:
         raise ValueError("negativity requires two distinct modes")
     lo, hi = sorted((mode_i, mode_j))
     nf = state.nf
     rho = reduced_density(state, (lo, hi)).reshape(nf, nf, nf, nf)
-    if hi == mode_j:
-        rho_pt = rho.transpose(0, 3, 2, 1)
-    else:
-        rho_pt = rho.transpose(2, 1, 0, 3)
+    rho_pt = rho.transpose(0, 3, 2, 1)
     evals = np.linalg.eigvalsh(rho_pt.reshape(nf * nf, nf * nf))
     return float(np.log2(np.abs(evals).sum()))
 

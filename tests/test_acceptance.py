@@ -27,6 +27,7 @@ from nuanneal.clock import (
     Direction,
     QuboProblem,
     build_clock,
+    build_qubo,
     digit_weights,
     real_embed,
 )
@@ -130,7 +131,11 @@ def _exhaustive_failures(clock, k_bits, frozen):
     for zoom in (0, 1, 2):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(k_bits, zoom, direction)
-            problem, kept = clock_qubo(clock, cemb, params, prior, freeze=frozen)
+            if frozen:
+                problem, kept = clock_qubo(clock, cemb, params, prior)
+            else:
+                problem = build_qubo(cemb, params, prior)
+                kept = list(range(problem.size))
             if problem.size > 20:
                 raise AssertionError(f"test instance has {problem.size} > 20 variables")
             lin, quad = problem.lin, problem.quad

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -35,6 +37,7 @@ seed: 7
 """
 
 BENCH_CONFIG = Path(__file__).parent.parent / "configs" / "two_mode_bench.yaml"
+AQAE_CONFIG = Path(__file__).parent.parent / "configs" / "four_mode_aqae.yaml"
 
 SMALL_YAML = """\
 system:
@@ -569,11 +572,30 @@ class TestWitnessCommand:
         assert float(rows[0][3]) == 0.0
 
 
+@pytest.fixture(scope="module")
+def stalled_run(tmp_path_factory):
+    """The shipped AQAE config with clock steps of 1.1e12, run with --oracle:
+    every block converges at the first sample time (one step), most stall and
+    rewind at the second (three steps).  Returns the exit code, the stderr
+    text and the JSON report."""
+    raw = yaml.safe_load(AQAE_CONFIG.read_text())
+    raw["times"] = [1.1e12, 3.3e12]
+    raw["aqae"]["dt"] = 1.1e12
+    path = tmp_path_factory.mktemp("stalled") / "stalled.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["aqae", "--config", str(path), "--oracle", "--out", str(path.with_suffix(".csv"))])
+    return rc, err.getvalue(), json.loads(path.with_suffix(".json").read_text())
+
+
 class TestAqaeCommand:
-    def test_small_run_produces_csv_and_json(self, small_cfg, tmp_path):
+    def test_small_run_produces_csv_and_json(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "aqae.csv"
         rc = main(["aqae", "--config", str(small_cfg), "--out", str(out), "--oracle"])
         assert rc == 0
+        # Every live block converges, so no unconverged line is printed.
+        assert capsys.readouterr().err == ""
         _, columns, rows = read_csv(out)
         assert columns == ["time_ev_inv", "S_1", "S_2", "N_12"]
         assert len(rows) == 1
@@ -603,6 +625,24 @@ class TestAqaeCommand:
         assert f"config error: system.{field}: blocked AQAE needs an all-neutrino Dirac system" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_run_ending_on_a_rewind_reports_its_last_pass(self, stalled_run):
+        _, _, report = stalled_run
+        live = [r for entry in report["blocks"] for r in entry["block_runs"] if not r["skipped"]]
+        assert sum(r["rewinds"] for r in live) > 0
+        assert all(isinstance(r["overlap"], float) and isinstance(r["final_energy"], float) for r in live)
+
+    def test_unconverged_blocks_get_one_stderr_line_per_time(self, stalled_run):
+        rc, err, report = stalled_run
+        counts = []
+        for entry in report["blocks"]:
+            live = [r for r in entry["block_runs"] if not r["skipped"]]
+            counts.append((sum(not r["converged"] for r in live), len(live)))
+        assert rc == 0 and counts[0][0] == 0 and counts[1][0] > 0
+        assert err == (
+            f"{counts[1][0]} of {counts[1][1]} live blocks unconverged at time 3.3e+12; "
+            "raise aqae.dt, aqae.max_zoom, aqae.reads or aqae.sweeps\n"
+        )
 
     def test_collapsed_register_exits_2_in_one_line(self, small_cfg, capsys):
         small_cfg.write_text(
@@ -642,8 +682,25 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err == (
             "AQAE failed at time 1e+12, sweeps 4: AQAE final register collapsed to zero; no estimate "
-            "available; raise aqae.max_zoom, aqae.reads or aqae.sweeps\n"
+            "available; raise bench.zooms, bench.values or aqae.reads\n"
         )
+
+    @pytest.mark.parametrize(
+        "axis, value, hint",
+        [
+            ("reads", 4, "bench.zooms, bench.values or aqae.sweeps"),
+            ("k_bits", 1, "bench.zooms, bench.values, aqae.reads or aqae.sweeps"),
+        ],
+        ids=["reads", "k_bits"],
+    )
+    def test_collapse_hint_names_only_keys_the_bench_reads(self, small_cfg, capsys, axis, value, hint):
+        # The bench overrides aqae.max_zoom with bench.zooms and the axis key with bench.values.
+        small_cfg.write_text(
+            "system: {n_modes: 2, nf: 3}\ninitial_state: [e, mu]\naqae: {max_zoom: 2, reads: 4, sweeps: 4}\n"
+            f"bench: {{time: 1.0e12, axis: {axis}, values: [{value}], zooms: [0]}}\n"
+        )
+        assert main(["bench", "--config", str(small_cfg)]) == 2
+        assert capsys.readouterr().err.endswith(f"no estimate available; raise {hint}\n")
 
     def test_zoom_dominates_infidelity(self, small_cfg, tmp_path):
         cfg_text = small_cfg.read_text() + (

@@ -77,14 +77,6 @@ class TestBuildClock:
         with pytest.raises(ValueError):
             build_clock(HamiltonianMatrix(np.zeros((2, 2)), BasisTag.FLAVOR), np.array([1.0, 1.0]), dt=1.0)
 
-    def test_any_positive_penalty_keeps_trajectory_optimal(self, rng):
-        h = HamiltonianMatrix(random_hermitian(rng, 3), BasisTag.FLAVOR)
-        psi0 = np.eye(3)[0].astype(complex)
-        clock = build_clock(h, psi0, dt=0.5, steps=1, penalty_weight=0.05)
-        evals, evecs = np.linalg.eigh(clock.matrix)
-        trajectory = np.concatenate([psi0, propagator(h, 0.5) @ psi0]) / np.sqrt(2.0)
-        assert abs(np.vdot(trajectory, evecs[:, 0])) >= 1.0 - 1e-10
-
 
 class TestClockMatrix:
     def test_rejects_non_hermitian_matrix_at_small_scale(self):

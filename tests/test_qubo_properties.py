@@ -83,7 +83,11 @@ def test_clock_qubo_with_and_without_frozen_register(data, register_dim, params,
     cemb = real_embed(clock)
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
     estimate = initial_estimate(clock) + shift
-    q, kept = clock_qubo(clock, cemb, params, estimate, freeze)
+    if freeze:
+        q, kept = clock_qubo(clock, cemb, params, estimate)
+    else:
+        q = build_qubo(cemb, params, estimate)
+        kept = list(range(q.size))
     frozen_bits = 2 * register_dim * params.k_bits if freeze else 0
     assert q.size == cemb.shape[0] * params.k_bits - frozen_bits
     _assert_faithful(q, kept, cemb, estimate, params, data)
