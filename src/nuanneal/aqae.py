@@ -7,12 +7,6 @@ scale.  The initial-state register is frozen: its bits are substituted out
 of the QUBO as constants, so the first register can never drift off the
 embedded initial state and the estimate's global phase stays pinned.
 
-Nonconvergence handling: a plateau of the clock energy (all adjacent-pair
-percentage differences below CONVERGENCE_PCT across CONVERGENCE_WINDOW steps)
-while the energy is still far above the digitization floor marks a stalled
-run; the estimate is rewound to the latest checkpoint whose energy step was
-non-increasing and the loop resumes from there with fresh annealer seeds.
-
 The blocked driver runs one independent AQAE run per live mass-basis
 occupation block and sample time, in parallel worker processes where the
 host has more than one usable CPU.
@@ -56,13 +50,12 @@ ZERO_BLOCK_NORM = 1e-12
 
 @dataclass(frozen=True)
 class AqaeConfig:
-    """Digitization depth, annealer budget, and rewind budget (0: no rewinds)."""
+    """Digitization depth and annealer budget."""
 
     k_bits: int = 1
     max_zoom: int = 20
     reads: int = 64
     sweeps: int = 128
-    max_rewinds: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -74,59 +67,20 @@ class AqaeConfig:
             raise ValueError("reads must be at least 1")
         if self.sweeps < 0:
             raise ValueError("sweeps must be non-negative")
-        if self.max_rewinds < 0:
-            raise ValueError("max_rewinds must be non-negative")
-
-
-CONVERGENCE_WINDOW = 8
-CONVERGENCE_PCT = 1.0
-
-
-def converged(history: list[float]) -> bool:
-    """Plateau detector over the clock-energy history.
-
-    True iff the last ``CONVERGENCE_WINDOW`` adjacent-pair percentage
-    differences all fall below ``CONVERGENCE_PCT``.
-    """
-    if len(history) < CONVERGENCE_WINDOW + 1:
-        return False
-    tail = history[-(CONVERGENCE_WINDOW + 1) :]
-    for a, b in zip(tail, tail[1:]):
-        denom = max(abs(a), abs(b))
-        if denom < 1e-300:
-            continue
-        if 100.0 * abs(b - a) / denom >= CONVERGENCE_PCT:
-            return False
-    return True
-
-
-@dataclass
-class _Checkpoint:
-    zoom: int
-    estimate: np.ndarray
-    energy: float
-    history_len: int
-
-
-def _latest_non_increasing(checkpoints: list[_Checkpoint]) -> int:
-    """Index of the newest checkpoint whose energy did not rise."""
-    for i in range(len(checkpoints) - 1, 0, -1):
-        if checkpoints[i].energy <= checkpoints[i - 1].energy:
-            return i
-    return 0
 
 
 @dataclass
 class AqaeResult:
     """Final-register estimate plus the full iteration record: the embedded
-    trajectory ``estimate`` and one ``diagnostics`` entry per anneal and per
-    rewind."""
+    trajectory ``estimate`` and one ``diagnostics`` entry per anneal."""
 
     amplitudes: np.ndarray
     estimate: np.ndarray
     converged: bool
     diagnostics: list[dict]
-    rewinds: int
+    # Not a field: perfbench/tracing._aqae_stats still reads it, until the
+    # benchmark change of ROADMAP item 1 drops that read.
+    rewinds = 0
 
 
 def _derived_seed(*keys: int) -> int:
@@ -188,25 +142,13 @@ def run_aqae(
     psi0 = np.asarray(initial, dtype=complex)
     clock = build_clock(h, psi0, dt, steps)
     cemb = real_embed(clock)
-    n_live = 2 * (clock.dim - clock.register_dim)
-    cemb_norm = float(np.linalg.norm(cemb, 2))
 
     exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
 
-    # Digitization floor: the residual a perfect annealer leaves at zoom z is
-    # O(2^-z) per live slot; energies below floor(z) cannot be improved at
-    # the current scale and do not indicate a stall.
-    def floor_at(z: int) -> float:
-        return 16.0 * cemb_norm * n_live * 4.0 ** (-z)
-
     estimate = initial_estimate(clock)
-    history: list[float] = []
     diagnostics: list[dict] = []
-    checkpoints: list[_Checkpoint] = []
     iteration = 0
-    rewinds = 0
-    z = 0
-    while z < cfg.max_zoom:
+    for z in range(cfg.max_zoom):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
             qubo, kept = clock_qubo(clock, cemb, params, estimate)
@@ -215,7 +157,6 @@ def run_aqae(
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)
             bits[kept] = result.best_bits
             estimate = apply_bit_updates(estimate, bits, params)
-            history.append(result.best_energy)
             entry = {
                 "iteration": iteration,
                 "zoom": z,
@@ -226,34 +167,17 @@ def run_aqae(
                 entry["overlap"] = _overlap(exact_final, _final_register(clock, estimate))
             diagnostics.append(entry)
             iteration += 1
-        checkpoints.append(_Checkpoint(z, estimate, history[-1], len(history)))
-        stalled = rewinds < cfg.max_rewinds and converged(history) and history[-1] > floor_at(z)
-        if stalled:
-            keep = _latest_non_increasing(checkpoints)
-            cp = checkpoints[keep]
-            estimate = cp.estimate
-            history = history[: cp.history_len]
-            checkpoints = checkpoints[: keep + 1]
-            diagnostics.append(
-                {
-                    "iteration": iteration,
-                    "zoom": z,
-                    "direction": "rewind",
-                    "clock_energy": cp.energy,
-                    "rewound_to_zoom": cp.zoom,
-                }
-            )
-            rewinds += 1
-            z = cp.zoom + 1
-            continue
-        z += 1
 
     final = _final_register(clock, estimate)
     norm = np.linalg.norm(final)
     if norm < 1e-12:
         raise RegisterCollapse("AQAE final register collapsed to zero; no estimate available")
-    converged_flag = history[-1] <= floor_at(cfg.max_zoom - 1)
-    return AqaeResult(final / norm, estimate, converged_flag, diagnostics, rewinds)
+    # Digitization floor: the residual a perfect annealer leaves at zoom z is
+    # O(2^-z) per live slot, so a last pass above it at the last zoom has not
+    # converged.
+    n_live = 2 * (clock.dim - clock.register_dim)
+    floor = 16.0 * float(np.linalg.norm(cemb, 2)) * n_live * 4.0 ** (1 - cfg.max_zoom)
+    return AqaeResult(final / norm, estimate, diagnostics[-1]["clock_energy"] <= floor, diagnostics)
 
 
 def _final_register(clock: ClockMatrix, estimate: np.ndarray) -> np.ndarray:
@@ -278,7 +202,6 @@ class BlockRunReport:
     weight: float
     skipped: bool
     converged: bool = False
-    rewinds: int = 0
     final_energy: float | None = None
     overlap: float | None = None
 
@@ -409,13 +332,11 @@ def run_aqae_blocked(
                         f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
                     ) from exc
                 assembled[np.asarray(block.indices)] = weight * res.amplitudes
-                # A run that ends on a rewind kept its last pass's estimate,
-                # and a rewind record holds no overlap.
-                last = next(e for e in reversed(res.diagnostics) if e["direction"] != "rewind")
+                last = res.diagnostics[-1]
                 per_block.append(
                     BlockRunReport(
                         block.occupation, block.size, weight, skipped=False, converged=res.converged,
-                        rewinds=res.rewinds, final_energy=last["clock_energy"], overlap=last.get("overlap"),
+                        final_energy=last["clock_energy"], overlap=last.get("overlap"),
                     )
                 )
             mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)

@@ -56,7 +56,7 @@ DEFAULT_PAIR_ANGLE = math.pi / 4.0
 MIN_COEFFICIENT = np.finfo(float).tiny / np.finfo(float).eps
 
 SYSTEM_KEYS = (*DEFAULTS, "n_modes", "nf", "xi", "angles", "species", "b_vector")
-AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps", "max_rewinds")
+AQAE_INTS = ("k_bits", "max_zoom", "reads", "sweeps")
 AQAE_KEYS = (*AQAE_INTS, "dt")
 
 

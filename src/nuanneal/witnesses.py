@@ -39,7 +39,8 @@ def entanglement_entropy(state: StateVector, mode: int) -> float:
         raise ValueError(f"reduced density matrix has eigenvalue {np.min(evals):.3e} < 0")
     evals = evals[evals > 0.0]
     s = float(-(evals * np.log2(evals)).sum())
-    return min(max(s, 0.0), np.log2(state.nf))
+    # max keeps its first argument on a tie, so a pure mode's -0.0 reads +0.0.
+    return min(max(0.0, s), np.log2(state.nf))
 
 
 def negativity(state: StateVector, mode_i: int, mode_j: int) -> float:

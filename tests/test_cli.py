@@ -97,6 +97,16 @@ class TestEvolveCommand:
             assert float(row[0]) == pytest.approx(t)
             assert float(row[s3_column]) == pytest.approx(s3, abs=1e-5)
 
+    def test_free_product_state_prints_zero_witnesses(self, tmp_path):
+        # With no Hamiltonian [e, mu] stays a product state; its pure modes'
+        # -0.0 entropies used to print as -0.00000000000e+00.
+        path = tmp_path / "free.yaml"
+        path.write_text(config_text(system=SYSTEM + "b_vector_choice: zero\n  k_ev: 0.0", times=" [0.0, 1.0e12]"))
+        out = tmp_path / "free.csv"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [row[1:] for row in rows] == [["0.00000000000e+00"] * 3] * 2
+
     def test_reruns_are_byte_identical(self, reference_cfg, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -242,7 +252,6 @@ BAD_CONFIGS = [
     ),
     ("reads-zero", {"aqae": "\n  reads: 0"}, "aqae: reads must be at least 1"),
     ("sweeps-negative", {"aqae": "\n  sweeps: -1"}, "aqae: sweeps must be non-negative"),
-    ("max_rewinds-negative", {"aqae": "\n  max_rewinds: -1"}, "aqae: max_rewinds must be non-negative"),
     # Clocks too large to build: a traceback from numpy used to end aqae and qubo.
     (
         "dt-too-small",
@@ -279,7 +288,8 @@ BAD_CONFIGS = [
     ("penalty_weight", {"aqae": "\n  penalty_weight: 0.1"}, "aqae.penalty_weight: unknown key"),
     ("beta_start", {"aqae": "\n  beta_start: 0.1"}, "aqae.beta_start: unknown key"),
     ("beta_end", {"aqae": "\n  beta_end: 4.0"}, "aqae.beta_end: unknown key"),
-    # max_rewinds: 0 is the off switch; the detector's window and threshold are fixed.
+    # The stall detector and its rewinds are gone, and with them every key that set them.
+    ("max_rewinds", {"aqae": "\n  max_rewinds: 3"}, "aqae.max_rewinds: unknown key"),
     ("rewind_enabled", {"aqae": "\n  rewind_enabled: false"}, "aqae.rewind_enabled: unknown key"),
     ("convergence_window", {"aqae": "\n  convergence_window: 8"}, "aqae.convergence_window: unknown key"),
     ("convergence_pct", {"aqae": "\n  convergence_pct: 1.0"}, "aqae.convergence_pct: unknown key"),
@@ -568,15 +578,15 @@ class TestWitnessCommand:
         _, columns, rows = read_csv(out)
         assert columns == ["time_ev_inv", "S_1", "S_2", "N_12"]
         assert float(rows[0][0]) == 2.5
-        assert float(rows[0][1]) == 0.0
-        assert float(rows[0][3]) == 0.0
+        # -(1 * log2 1) is -0.0, which used to print as -0.00000000000e+00.
+        assert rows[0][1:] == ["0.00000000000e+00"] * 3
 
 
 @pytest.fixture(scope="module")
 def stalled_run(tmp_path_factory):
     """The shipped AQAE config with clock steps of 1.1e12, run with --oracle:
-    every block converges at the first sample time (one step), most stall and
-    rewind at the second (three steps).  Returns the exit code, the stderr
+    every block converges at the first sample time (one step), and 14 of the
+    15 live blocks do not at the second (three steps).  Returns the exit code, the stderr
     text and the JSON report."""
     raw = yaml.safe_load(AQAE_CONFIG.read_text())
     raw["times"] = [1.1e12, 3.3e12]
@@ -626,10 +636,10 @@ class TestAqaeCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_run_ending_on_a_rewind_reports_its_last_pass(self, stalled_run):
+    def test_every_unconverged_block_reports_its_last_pass(self, stalled_run):
         _, _, report = stalled_run
-        live = [r for entry in report["blocks"] for r in entry["block_runs"] if not r["skipped"]]
-        assert sum(r["rewinds"] for r in live) > 0
+        live = [r for r in report["blocks"][1]["block_runs"] if not r["skipped"]]
+        assert len(live) == 15
         assert all(isinstance(r["overlap"], float) and isinstance(r["final_energy"], float) for r in live)
 
     def test_unconverged_blocks_get_one_stderr_line_per_time(self, stalled_run):

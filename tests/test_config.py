@@ -81,7 +81,7 @@ class TestResolveConfig:
         assert cfg.aqae.k_bits == 2
         assert cfg.aqae.max_zoom == 7
         assert cfg.aqae_dt == 1e11
-        assert set(cfg.resolved()["aqae"]) == {"k_bits", "max_zoom", "reads", "sweeps", "max_rewinds", "dt"}
+        assert set(cfg.resolved()["aqae"]) == {"k_bits", "max_zoom", "reads", "sweeps", "dt"}
 
 
     def test_numeric_strings_are_numbers(self):

@@ -49,6 +49,14 @@ initial register).  Its header lost the ``"freeze_initial":true`` and
 ``"k_bits":1`` entries, and its QUBO lines did not change.  The CLI no
 longer exports an unfrozen QUBO, so ``two_mode_bench_unfrozen.qubo`` was
 deleted.
+
+The seven files of the three AQAE pins and ``two_mode_bench.qubo`` were
+regenerated when the zoom loop lost its stall detector and rewinds, and the
+``aqae.max_rewinds`` key with them.  Each equals its previous file with the
+header's ``"max_rewinds":3,`` entry deleted, and in the JSON reports the
+``"max_rewinds": 3,`` line and every block run's ``"rewinds": 0,`` line;
+nothing else changed.  The two ``two_mode_bench.anneal*.json`` pins were
+left untouched.
 """
 
 import json
