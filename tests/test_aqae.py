@@ -126,13 +126,20 @@ class TestRunAqae:
 
         return broken_anneal
 
-    def test_stuck_annealer_runs_every_pass_and_reports_unconverged(self, monkeypatch):
+    def _run_stuck(self, monkeypatch):
         monkeypatch.setattr(aqae_mod, "anneal", self._stuck_anneal())
         h = HamiltonianMatrix(np.array([[0.3, 0.1], [0.1, -0.2]]), BasisTag.FLAVOR)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         cfg = AqaeConfig(k_bits=1, max_zoom=10, reads=4, sweeps=8, seed=0)
-        res = run_aqae(h, psi0, dt=1.0, cfg=cfg)
+        return cfg, run_aqae(h, psi0, dt=1.0, cfg=cfg)
+
+    def test_stuck_annealer_reports_unconverged(self, monkeypatch):
+        _, res = self._run_stuck(monkeypatch)
         assert not res.converged
+        assert res.diagnostics[-1]["clock_energy"] > 0.0
+
+    def test_stuck_annealer_runs_every_pass(self, monkeypatch):
+        cfg, res = self._run_stuck(monkeypatch)
         assert [(d["zoom"], d["direction"]) for d in res.diagnostics] == [
             (z, direction) for z in range(cfg.max_zoom) for direction in ("forward", "reverse")
         ]
