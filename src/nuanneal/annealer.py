@@ -15,17 +15,17 @@ The step loop has two implementations that agree bit for bit.  The C loop in
 ``_anneal_step.c`` is compiled with the ``cc`` on PATH on the first
 :func:`anneal` call of a process (never at import) and loaded through
 ctypes.  The numpy loop is the reference, and it runs whenever there is no
-compiler or the build fails.  Both read the same visits and thresholds and do
-the same arithmetic: dE = (field + lin) * spin, a flip when dE is below the
-threshold, and, unless no read flipped, every field updated by its product
-with a flip of -1, 0 or +1, which is exact.  The C loop writes this as one
-dense masked update across the reads, vectorised for the host: it is built
-with ``-O3 -march=native`` on the machine that loads it, without
-``-ffast-math`` and with floating-point contraction off, so each element is
-the same IEEE operation as in numpy at any vector width.  Where numpy's flip
-is -0 the C flip is +0; that can change only the sign of a field that is
-exactly zero, and +0 and -0 give the same comparison against every
-threshold.
+compiler or the build fails.  Both do the same arithmetic: the threshold
+ln(u) / -beta (numpy divides a chunk before its loop, C in its accept loop:
+the same IEEE division), dE = (field + lin) * spin, a flip when dE is below
+the threshold, and, unless no read flipped, every field updated by its
+product with a flip of -1, 0 or +1, which is exact.  The C loop is
+vectorised across the reads for the host: it is built with ``-O3
+-march=native`` on the machine that loads it, without ``-ffast-math`` or
+reciprocal math and with contraction off, so each element is the same IEEE
+operation as in numpy at any vector width.  Where numpy's flip is -0 the C
+flip is +0; that can change only the sign of a field that is exactly zero,
+and +0 and -0 give the same comparison against every threshold.
 
 Determinism contract: a problem of size m draws everything from one
 generator, ``default_rng(seed)`` of its schedule, in this order:
@@ -152,7 +152,7 @@ def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     if m < 1:
         raise ValueError("QUBO must have at least one variable")
     beta_start, beta_end = (s.beta_start, s.beta_end) if s.beta_start is not None else default_beta_range(q)
-    neg_betas = -np.geomspace(beta_start, beta_end, sweeps) if sweeps > 1 else np.full(sweeps, -beta_end)
+    neg_betas = -_geomspace(beta_start, beta_end, sweeps) if sweeps > 1 else np.full(sweeps, -beta_end)
 
     rng = np.random.default_rng(s.seed)
     visits = rng.permuted(np.tile(np.arange(m), (sweeps, 1)), axis=1)
@@ -163,22 +163,24 @@ def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     fields = quad @ bits
 
     chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * m * reads)))
-    thresholds = np.empty((chunk, m, reads))
+    log_u = np.empty((chunk, m, reads))
     kernel = _native_kernel()
+    native = None if kernel is None else _native_steps(kernel, log_u, visits, neg_betas, lin, quad, spins, fields)
     for s0 in range(0, sweeps, chunk):
         s1 = min(s0 + chunk, sweeps)
-        # Thresholds -ln(u)/beta; u = 0, or a beta so small that the quotient
-        # overflows, gives an infinite one, always accepted.
-        limits = thresholds[: s1 - s0]
+        # Thresholds -ln(u)/beta (the C loop divides itself); u = 0, or a beta
+        # so small that the quotient overflows, gives +inf, always accepted.
+        limits = log_u[: s1 - s0]
         rng.random(out=limits)
         with np.errstate(divide="ignore", over="ignore"):
             np.log(limits, out=limits)
-            limits /= neg_betas[s0:s1, None, None]
+            if native is None:
+                limits /= neg_betas[s0:s1, None, None]
         # One step-loop call per chunk: compiled if it was built, else numpy.
-        if kernel is None:
+        if native is None:
             _numpy_steps(limits, visits[s0:s1], lin, quad, spins, fields)
         else:
-            _native_steps(kernel, limits, visits[s0:s1], lin, quad, spins, fields)
+            native(s0, s1)
 
     bits = 0.5 * (1.0 - spins)
     energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
@@ -186,6 +188,20 @@ def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     # Re-derive the reported energy term by term so that callers can
     # reproduce it exactly from best_bits.
     return AnnealResult(best_bits, q.total_energy(best_bits), energies)
+
+
+def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.geomspace(start, stop, num)`` for 0 < start, stop and num >= 2, bit
+    for bit, without its generic set-up; the ends are set, never powered.  The
+    step is 0 only for equal logs, so linspace's zero-step case never differs."""
+    log_start, log_stop = np.log10(np.array([start, stop]))
+    y = np.arange(1, num - 1, dtype=np.float64)
+    y *= (log_stop - log_start) / (num - 1)
+    y += log_start
+    ramp = np.empty(num)
+    ramp[0], ramp[-1] = start, stop
+    np.power(10.0, y, out=ramp[1:-1])
+    return ramp
 
 
 def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:
@@ -210,22 +226,33 @@ def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:
             fields += quad[v, :, None] * flip
 
 
-def _native_steps(kernel, thresholds, visits, lin, quad, spins, fields) -> None:
-    """:func:`_numpy_steps` in compiled code, bit for bit."""
+def _native_steps(kernel, log_u, visits, neg_betas, lin, quad, spins, fields):
+    """Check the arrays of one anneal for the C loop, once, and return
+    ``steps(s0, s1)``: :func:`_numpy_steps` over sweeps s0 to s1 in compiled
+    code, bit for bit, at thresholds ``log_u[: s1 - s0] / neg_betas[s0:s1]``."""
     n, reads = spins.shape
     flips = np.empty(reads)
-    arrays = (visits, thresholds, lin, quad, spins, fields, flips)
-    # The C loop reads raw pointers: one index array, five of doubles, and
-    # the buffer of each read's flip at a visit.
-    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 6 or not all(
+    arrays = (visits, log_u, neg_betas, lin, quad, spins, fields, flips)
+    # The C loop reads raw pointers: one index array, seven of doubles, the
+    # last the buffer of each read's flip at a visit.
+    if [a.dtype for a in arrays] != [np.intp] + [np.float64] * 7 or not all(
         a.flags.c_contiguous for a in arrays
     ):
         raise ValueError("step-loop arrays must be C-contiguous intp and float64 arrays")
-    shapes = [a.shape for a in arrays]
-    sweeps = len(visits)
-    if shapes != [(sweeps, n), (sweeps, n, reads), (n,), (n, n), (n, reads), (n, reads), (reads,)]:
+    sweeps, chunk = len(visits), len(log_u)
+    shapes = [(sweeps, n), (chunk, n, reads), (sweeps,), (n,), (n, n), (n, reads), (n, reads), (reads,)]
+    if [a.shape for a in arrays] != shapes:
         raise ValueError("step-loop arrays disagree in shape")
-    kernel(visits.size, n, reads, *(a.ctypes.data for a in arrays))
+    at_visits, at_log_u, at_betas, *rest = (a.ctypes.data for a in arrays)
+
+    def steps(s0: int, s1: int) -> None:
+        if not 0 <= s0 <= s1 <= min(sweeps, s0 + chunk):
+            raise ValueError(f"sweeps {s0} to {s1} are outside the {sweeps} sweeps or the {chunk}-sweep buffer")
+        # Reading strides through ``arrays`` keeps every pointed-to array alive.
+        visits_at, betas_at = at_visits + s0 * arrays[0].strides[0], at_betas + s0 * arrays[2].strides[0]
+        kernel(s1 - s0, n, reads, visits_at, at_log_u, betas_at, *rest)
+
+    return steps
 
 
 def _native_kernel():
@@ -260,7 +287,7 @@ def _build_step_kernel():
             kernel = ctypes.CDLL(library).anneal_steps
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    kernel.argtypes = [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p] * 7
+    kernel.argtypes = [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p] * 8
     kernel.restype = None
     return kernel
 

@@ -27,7 +27,7 @@ from .clock import (
     ClockMatrix,
     DigitizationParams,
     Direction,
-    QuboProblem,
+    QuboForm,
     apply_bit_updates,
     build_clock,
     build_qubo,
@@ -107,21 +107,14 @@ def clock_steps(t: float, dt: float | None) -> tuple[int, float]:
     return steps, t / steps if t > 0 else 0.0
 
 
-def clock_qubo(
-    clock: ClockMatrix,
-    cemb: np.ndarray,
-    params: DigitizationParams,
-    estimate: np.ndarray,
-) -> tuple[QuboProblem, list[int]]:
-    """QUBO of one pass around ``estimate`` over ``cemb = real_embed(clock)``,
-    and the original indices of its bits.  The bits of the initial register's
-    real and imaginary slots are fixed to 0, keeping its values: the QUBO is
-    built on the live slots only, with the same coefficients as the full
-    QUBO with those bits fixed."""
-    d, half, k = clock.register_dim, clock.dim, params.k_bits
+def clock_qubo(clock: ClockMatrix, cemb: np.ndarray, k_bits: int) -> tuple[QuboForm, list[int]]:
+    """A run's :class:`QuboForm` over ``cemb = real_embed(clock)``, ``k_bits``
+    bits per slot, and the original indices of its bits.  The initial
+    register's real and imaginary slots are left out, so each pass's QUBO is
+    the full QUBO with their bits fixed to 0, keeping their values."""
+    d, half = clock.register_dim, clock.dim
     live = np.r_[d:half, half + d : 2 * half]
-    problem = build_qubo(cemb, params, estimate, live)
-    return problem, (live[:, None] * k + np.arange(k)).ravel().tolist()
+    return QuboForm(cemb, k_bits, live), (live[:, None] * k_bits + np.arange(k_bits)).ravel().tolist()
 
 
 def run_aqae(
@@ -146,12 +139,13 @@ def run_aqae(
     exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
 
     estimate = initial_estimate(clock)
+    form, kept = clock_qubo(clock, cemb, cfg.k_bits)
     diagnostics: list[dict] = []
     iteration = 0
     for z in range(cfg.max_zoom):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(cfg.k_bits, z, direction)
-            qubo, kept = clock_qubo(clock, cemb, params, estimate)
+            qubo = build_qubo(form, params, estimate)
             schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_derived_seed(cfg.seed, iteration))
             result = anneal(qubo, schedule)
             bits = np.zeros(cemb.shape[0] * cfg.k_bits)

@@ -28,7 +28,7 @@ from .aqae import (
     BlockedAqaeResult, RegisterCollapse, clock_qubo, clock_steps, initial_estimate, run_aqae, run_aqae_blocked,
 )
 from .basis import mass_blocks
-from .clock import DigitizationParams, Direction, QuboProblem, build_clock, real_embed
+from .clock import DigitizationParams, Direction, QuboProblem, build_clock, build_qubo, real_embed
 from .config import ConfigError, ExperimentConfig, load_config, load_state
 from .evolution import evolve_series
 from .hamiltonians import Species, Statistics, build_hamiltonian, conserves_occupations
@@ -107,7 +107,8 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     steps, step_dt = clock_steps(q.time, cfg.aqae_dt)
     clock = build_clock(h, cfg.initial.amplitudes, step_dt, steps)
     params = DigitizationParams(cfg.aqae.k_bits, q.zoom, q.direction)
-    problem, _ = clock_qubo(clock, real_embed(clock), params, initial_estimate(clock))
+    form, _ = clock_qubo(clock, real_embed(clock), params.k_bits)
+    problem = build_qubo(form, params, initial_estimate(clock))
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)
     return 0

@@ -20,7 +20,10 @@ Data model: a :class:`QuboProblem` is dense from build to anneal, a linear
 vector ``lin``, a symmetric zero-diagonal coupling matrix ``quad`` and an
 ``offset``; fixing variables slices rows and columns.  Coefficient maps
 (i, j) -> value exist only at the text and user boundary: the constructor,
-``to_text`` and ``from_text``.
+``to_text`` and ``from_text``.  A run builds one :class:`QuboForm` (the
+checked real matrix, its live slots and their zoom-0 couplings) and each
+pass turns it into a problem with :func:`build_qubo`, which scales the
+couplings by 4^-z and adds the terms of that pass's prior.
 """
 
 from __future__ import annotations
@@ -305,34 +308,48 @@ class QuboProblem:
         return cls(size, coeffs, offset)
 
 
-def build_qubo(
-    real_c: np.ndarray, params: DigitizationParams, prior: np.ndarray, live: np.ndarray | None = None
-) -> QuboProblem:
-    """Exact QUBO for the quadratic form a(q)^T C a(q) over the bits of the
-    ``live`` slots (every slot when None).
+class QuboForm:
+    """What every pass of a run shares: ``real_c`` checked once, its ``live``
+    slots (all when None) cut once, and their zoom-0 couplings for ``k_bits``
+    bits per slot, the diagonal apart and the pairs doubled.  A reverse pass
+    negates every weight, which leaves each product w[a] w[b] as it is."""
+
+    def __init__(self, real_c: np.ndarray, k_bits: int, live: np.ndarray | None = None):
+        c = np.asarray(real_c, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"real_c must be square, got shape {c.shape}")
+        check_hermitian(c, "real_c")
+        live = np.arange(c.shape[0]) if live is None else np.asarray(live)
+        sub = c[np.ix_(live, live)]
+        w = digit_weights(DigitizationParams(k_bits))
+        n, k = sub.shape[0], w.shape[0]
+        # quad[i*K + a, j*K + b] = c[i, j] * (w[a] w[b]): the products np.kron forms.
+        quad = (sub[:, None, :, None] * np.outer(w, w)[:, None, :]).reshape(n * k, n * k)
+        upper = np.triu(2.0 * quad, 1)
+        self.c, self.k_bits, self.live = c, k_bits, live
+        self.diag, self.pairs = np.diag(quad).copy(), upper + upper.T
+
+
+def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) -> QuboProblem:
+    """Exact QUBO for the quadratic form a(q)^T C a(q) over the form's live bits.
 
     With a(q) = prior + M q, where M maps the K bits of each live slot
     through :func:`digit_weights` and leaves the other slots at their prior
     values, the expansion produces the bit-bit couplings, a linear coupling
     to the prior estimate, and a constant offset, so that QUBO energy +
-    offset reproduces the quadratic form bit-for-bit.
+    offset reproduces the quadratic form bit-for-bit.  A weight at zoom z is
+    2^-z times its zoom-0 value, a signed power of two, so scaling the form's
+    couplings by 4^-z is exact while they stay normal doubles.
     """
-    c = np.asarray(real_c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"real_c must be square, got shape {c.shape}")
-    check_hermitian(c, "real_c")
+    if params.k_bits != form.k_bits:
+        raise ValueError(f"params have {params.k_bits} bits per slot, the form {form.k_bits}")
+    c = form.c
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (c.shape[0],):
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")
-    c_prior, offset = c @ prior, float(prior @ c @ prior)
-    if live is not None:
-        c, c_prior = c[np.ix_(live, live)], c_prior[live]
-    w = digit_weights(params)
-    n, k = c.shape[0], w.shape[0]
-    # quad[i*K + a, j*K + b] = c[i, j] * (w[a] w[b]): the products np.kron forms.
-    quad = (c[:, None, :, None] * np.outer(w, w)[:, None, :]).reshape(n * k, n * k)
+    c_prior, offset = (c @ prior)[form.live], float(prior @ c @ prior)
+    scale = 4.0**-params.zoom
     # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
-    # signed zeros into 0.0, as the mirrored sum below does for the pairs.
-    lin = np.diag(quad) + ((2.0 * c_prior)[:, None] * w).ravel() + 0.0
-    upper = np.triu(2.0 * quad, 1)
-    return QuboProblem.from_arrays(lin, upper + upper.T, offset)
+    # signed zeros into 0.0, as the mirrored sum of the pairs does.
+    lin = form.diag * scale + ((2.0 * c_prior)[:, None] * digit_weights(params)).ravel() + 0.0
+    return QuboProblem.from_arrays(lin, form.pairs * scale, offset)

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .aqae import AqaeConfig, clock_steps
 from .basis import MAX_BASIS_DIM, BasisTag, PmnsParams, StateVector, flavor_state, mass_blocks
@@ -368,6 +367,8 @@ class ExperimentConfig:
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
+    import yaml  # here, so that importing nuanneal does not load it
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (yaml.YAMLError, UnicodeDecodeError) as exc:

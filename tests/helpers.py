@@ -6,7 +6,9 @@ Kronecker products (the library assembles exchange operators as index maps),
 expected witness values for the reference four-mode system come from a
 swap-operator model built from elementary-matrix Kronecker chains, and the
 reference annealer steps one read and one visit at a time where the library
-steps every read of a visit at once.
+steps every read of a visit at once, and the reference QUBO is expanded at
+each pass's own digit weights where the library scales a run's zoom-0
+couplings.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from nuanneal.annealer import default_beta_range
 from nuanneal.basis import generator_vector, pmns_matrix
+from nuanneal.clock import digit_weights
 from nuanneal.config import ExperimentConfig, resolve_config
 from nuanneal.hamiltonians import Species, Statistics
 
@@ -361,3 +364,31 @@ def reference_anneal(q, schedule) -> tuple[np.ndarray, np.ndarray]:
     bits = np.array(finals).T.copy()
     energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
     return energies, bits[:, int(np.argmin(energies))].astype(np.int8)
+
+
+# ---------------------------------------------------------------------------
+# Reference QUBO expansion
+# ---------------------------------------------------------------------------
+
+
+def qubo_oracle(real_c, params, prior, live=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(lin, quad, offset) of the QUBO of a(q)^T C a(q) over the ``live``
+    slots (every slot when None), expanded at the pass's own digit weights.
+
+    ``C·prior`` and the offset are formed on the full matrix, then the live
+    slots are cut; couplings are c[i, j] * (w[a] w[b]), the products np.kron
+    forms, with the diagonal folded into the linear terms and the pairs
+    doubled and mirrored.
+    """
+    c = np.asarray(real_c, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    c_prior, offset = c @ prior, float(prior @ c @ prior)
+    if live is not None:
+        c, c_prior = c[np.ix_(live, live)], c_prior[live]
+    w = digit_weights(params)
+    n, k = c.shape[0], w.shape[0]
+    quad = (c[:, None, :, None] * np.outer(w, w)[:, None, :]).reshape(n * k, n * k)
+    # Adding 0.0 turns signed zeros into 0.0, as the mirrored sum does for the pairs.
+    lin = np.diag(quad) + ((2.0 * c_prior)[:, None] * w).ravel() + 0.0
+    upper = np.triu(2.0 * quad, 1)
+    return lin, upper + upper.T, offset

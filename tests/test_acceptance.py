@@ -25,6 +25,7 @@ from nuanneal.basis import BasisTag, mass_blocks
 from nuanneal.clock import (
     DigitizationParams,
     Direction,
+    QuboForm,
     QuboProblem,
     build_clock,
     build_qubo,
@@ -128,14 +129,14 @@ def _exhaustive_failures(clock, k_bits, frozen):
     cemb = real_embed(clock)
     prior = initial_estimate(clock)
     n_slots = cemb.shape[0]
+    if frozen:
+        form, kept = clock_qubo(clock, cemb, k_bits)
+    else:
+        form, kept = QuboForm(cemb, k_bits), list(range(n_slots * k_bits))
     for zoom in (0, 1, 2):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(k_bits, zoom, direction)
-            if frozen:
-                problem, kept = clock_qubo(clock, cemb, params, prior)
-            else:
-                problem = build_qubo(cemb, params, prior)
-                kept = list(range(problem.size))
+            problem = build_qubo(form, params, prior)
             if problem.size > 20:
                 raise AssertionError(f"test instance has {problem.size} > 20 variables")
             lin, quad = problem.lin, problem.quad

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import reference_anneal
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import nuanneal.annealer as annealer_mod
 from nuanneal.annealer import AnnealSchedule, anneal, default_beta_range, exhaustive_minimum
@@ -217,6 +219,26 @@ class TestAnneal:
         assert res.all_read_energies.tolist() == [q.total_energy(1 - initial[:, r]) for r in range(4)]
 
 
+positive_doubles = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@given(start=positive_doubles, stop=positive_doubles, num=st.integers(2, 300))
+@example(start=0.2, stop=0.2, num=96)
+@example(start=3.0, stop=7.5, num=2)
+@example(start=1e-300, stop=1e300, num=96)
+@example(start=2.5e-300, stop=3e-300, num=50)
+@example(start=1e300, stop=1.7e308, num=7)
+@example(start=5e-324, stop=5e-324, num=3)
+def test_ramp_is_numpy_geomspace(start, stop, num):
+    # The anneal's beta ramp skips np.geomspace's generic set-up; the values
+    # must stay those of np.geomspace, bit for bit.  np.geomspace raises 10
+    # to log10(stop) before it puts stop back, which overflows near the
+    # largest double; the ramp sets its ends directly and must not warn.
+    ramp = annealer_mod._geomspace(start, stop, num)
+    with np.errstate(over="ignore"):
+        assert ramp.tobytes() == np.geomspace(start, stop, num).tobytes()
+
+
 def assert_same_result(a, b):
     assert np.array_equal(a.best_bits, b.best_bits)
     assert a.best_bits.dtype == b.best_bits.dtype
@@ -293,9 +315,11 @@ class TestStepLoops:
             (lambda arrays: {**arrays, "visits": arrays["visits"].astype(np.int32)}, "C-contiguous"),
             (lambda arrays: {**arrays, "quad": np.asfortranarray(arrays["quad"])}, "C-contiguous"),
             (lambda arrays: {**arrays, "fields": arrays["fields"].astype(np.float32)}, "C-contiguous"),
+            (lambda arrays: {**arrays, "neg_betas": arrays["neg_betas"].astype(np.float32)}, "C-contiguous"),
             (lambda arrays: {**arrays, "lin": arrays["lin"][:-1].copy()}, "disagree in shape"),
+            (lambda arrays: {**arrays, "neg_betas": arrays["neg_betas"][:-1].copy()}, "disagree in shape"),
         ],
-        ids=["int32-visits", "fortran-quad", "float32-fields", "short-lin"],
+        ids=["int32-visits", "fortran-quad", "float32-fields", "float32-betas", "short-lin", "short-betas"],
     )
     def test_native_steps_check_arrays_before_the_call(self, rng, spoil, message):
         # The C loop reads raw pointers, so a bad array must stop before it.
@@ -303,8 +327,9 @@ class TestStepLoops:
         n, reads, sweeps = 4, 3, 2
         quad = rng.normal(size=(n, n))
         arrays = {
-            "thresholds": rng.random((sweeps, n, reads)),
+            "log_u": np.log(rng.random((sweeps, n, reads))),
             "visits": np.tile(np.arange(n, dtype=np.intp), (sweeps, 1)),
+            "neg_betas": -np.geomspace(0.5, 2.0, sweeps),
             "lin": rng.normal(size=n),
             "quad": quad + quad.T,
             "spins": np.ones((n, reads)),
@@ -317,19 +342,38 @@ class TestStepLoops:
         with pytest.raises(ValueError, match=message):
             annealer_mod._native_steps(kernel, **spoil(arrays))
 
+    def test_native_steps_refuse_sweeps_beyond_the_buffer(self, rng):
+        # A one-sweep buffer of log-uniforms holds one sweep of thresholds.
+        n, reads, sweeps = 3, 2, 4
+        log_u, visits = np.log(rng.random((1, n, reads))), np.tile(np.arange(n), (sweeps, 1))
+        steps = annealer_mod._native_steps(
+            lambda *args: None, log_u, visits, -np.ones(sweeps), np.zeros(n), np.zeros((n, n)),
+            np.ones((n, reads)), np.zeros((n, reads)),
+        )
+        steps(3, 4)
+        for s0, s1 in ((0, 2), (3, 5), (2, 1)):
+            with pytest.raises(ValueError, match="outside"):
+                steps(s0, s1)
+
     @pytest.mark.parametrize("kind", ["normal", "integer"])
     @pytest.mark.parametrize("beta", [1.0, 1e-300, 1e300], ids=["unit", "tiny", "huge"])
     @pytest.mark.parametrize("n", [1, 2, 16, 24, 33])
     def test_native_steps_match_numpy_at_simd_tail_sizes(self, n, beta, kind):
         # The C loops run across the reads in vector blocks plus a scalar
         # tail; these read counts put 0, 1 and all but one read in the tail
-        # at 4 and 8 doubles per vector.  A tiny beta makes every read flip;
+        # at 4 and 8 doubles per vector.  The C loop divides the
+        # log-uniforms by each sweep's -beta, from beta down to 1e-20 beta,
+        # where numpy divides before its loop.  A tiny beta makes every read
+        # flip, and its subnormal last sweeps overflow the quotient to +inf;
         # a huge one accepts only downhill and level flips, so settled visits
-        # flip no read and end early.  Integer couplings, with lin zero at
-        # every third variable, make fields and energy changes exactly zero.
+        # flip no read and end early.  u = 0 for read 0 of the first sweep
+        # gives log(u) = -inf, an infinite threshold.  Integer couplings,
+        # with lin zero at every third variable, make fields and energy
+        # changes exactly zero.
         kernel = native_kernel()
         rng = np.random.default_rng([n, 300 + int(np.log10(beta)), len(kind)])
         sweeps, zero_fields = 6, 0
+        neg_betas = -beta * np.geomspace(1.0, 1e-20, sweeps)
         for reads in (1, 7, 8, 9, 47, 48, 49, 200):
             if kind == "integer":
                 coeffs = {(i, j): float(rng.integers(-3, 4)) for i in range(n) for j in range(i, n)}
@@ -338,14 +382,21 @@ class TestStepLoops:
             else:
                 q = random_qubo(rng, n)
             visits = rng.permuted(np.tile(np.arange(n), (sweeps, 1)), axis=1)
+            uniforms = rng.random((sweeps, n, reads))
+            uniforms[0, :, 0] = 0.0
             with np.errstate(divide="ignore", over="ignore"):
-                thresholds = np.log(rng.random((sweeps, n, reads))) / -beta
+                log_u = np.log(uniforms)
+                thresholds = log_u / neg_betas[:, None, None]
+            assert np.isposinf(thresholds[0, :, 0]).all()
+            assert np.isposinf(thresholds[-1]).any() == (beta == 1e-300)
             bits = rng.integers(0, 2, (n, reads)).astype(float)
             runs = {}
             for name in ("native", "numpy"):
                 spins, fields = 1.0 - 2.0 * bits, q.quad @ bits
                 if name == "native":
-                    annealer_mod._native_steps(kernel, thresholds, visits, q.lin, q.quad, spins, fields)
+                    annealer_mod._native_steps(kernel, log_u, visits, neg_betas, q.lin, q.quad, spins, fields)(
+                        0, sweeps
+                    )
                 else:
                     # One visit per call, to count the reads that flip and
                     # the zero fields at each visit.
@@ -484,6 +535,14 @@ class TestStepLoops:
             text=True,
         )
         assert run.returncode == 0, run.stderr
+
+    def test_step_flags_keep_the_threshold_divide_exact(self):
+        # The C loop divides log(u) by -beta where numpy divides before its
+        # loop; the two agree only while no flag lets the compiler turn the
+        # divide into a reciprocal multiply or fuse a product into an add.
+        flags = annealer_mod._STEP_CFLAGS
+        assert "-ffp-contract=off" in flags
+        assert not {"-ffast-math", "-Ofast", "-freciprocal-math"} & set(flags)
 
     def test_native_kernel_loads_where_a_compiler_exists(self):
         kernel = native_kernel()

@@ -9,6 +9,7 @@ from nuanneal.clock import (
     ClockMatrix,
     DigitizationParams,
     Direction,
+    QuboForm,
     QuboProblem,
     apply_bit_updates,
     build_clock,
@@ -177,7 +178,7 @@ class TestDigitization:
 class TestBuildQubo:
     def test_single_slot_single_bit(self):
         c = np.array([[1.5]])
-        q = build_qubo(c, DigitizationParams(k_bits=1, zoom=0), np.zeros(1))
+        q = build_qubo(QuboForm(c, 1), DigitizationParams(k_bits=1, zoom=0), np.zeros(1))
         # amplitude -2 q gives energy 4 c q^2 = 4 c q
         assert q.size == 1
         np.testing.assert_array_equal(q.lin, [6.0])
@@ -185,7 +186,7 @@ class TestBuildQubo:
         assert q.offset == 0.0
 
     def test_zero_matrix_gives_no_coefficients(self):
-        q = build_qubo(np.zeros((3, 3)), DigitizationParams(k_bits=2), np.zeros(3))
+        q = build_qubo(QuboForm(np.zeros((3, 3)), 2), DigitizationParams(k_bits=2), np.zeros(3))
         assert not q.lin.any() and not q.quad.any()
         assert q.size == 6
         assert q.to_text() == "qubo 6 0.0\n"
@@ -198,7 +199,7 @@ class TestBuildQubo:
             c = c + c.T
             prior = rng.normal(size=dim)
             p = DigitizationParams(k_bits=2, zoom=zoom, direction=direction)
-            q = build_qubo(c, p, prior)
+            q = build_qubo(QuboForm(c, 2), p, prior)
             for bits in itertools.product((0, 1), repeat=q.size):
                 bits = np.array(bits, dtype=float)
                 a = apply_bit_updates(prior, bits, p)
@@ -209,26 +210,34 @@ class TestBuildQubo:
         prior = rng.normal(size=5)
         params = DigitizationParams(k_bits=2, zoom=1, direction=Direction.REVERSE)
         # Slots 0 and 2 are left out: their bits are 0, 1, 4 and 5.
-        reduced, kept = build_qubo(c + c.T, params, prior).fix_variables({0: 0, 1: 0, 4: 0, 5: 0})
-        q = build_qubo(c + c.T, params, prior, live=np.array([1, 3, 4]))
+        reduced, kept = build_qubo(QuboForm(c + c.T, 2), params, prior).fix_variables({0: 0, 1: 0, 4: 0, 5: 0})
+        q = build_qubo(QuboForm(c + c.T, 2, live=np.array([1, 3, 4])), params, prior)
         assert kept == [2, 3, 6, 7, 8, 9]
         np.testing.assert_array_equal(q.lin, reduced.lin)
         np.testing.assert_array_equal(q.quad, reduced.quad)
         assert q.offset == reduced.offset
 
+    def test_rejects_params_with_other_bit_count(self):
+        with pytest.raises(ValueError, match="2 bits per slot, the form 1"):
+            build_qubo(QuboForm(np.eye(2), 1), DigitizationParams(k_bits=2), np.zeros(2))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match="must be square"):
+            QuboForm(np.zeros((2, 3)), 1)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_qubo(np.zeros((2, 2)), DigitizationParams(k_bits=1), np.zeros(3))
+            build_qubo(QuboForm(np.zeros((2, 2)), 1), DigitizationParams(k_bits=1), np.zeros(3))
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
-            build_qubo(np.array([[0.0, 1.0], [0.0, 0.0]]), DigitizationParams(k_bits=1), np.zeros(2))
+            QuboForm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
     def test_rejects_asymmetric_matrix_at_small_scale(self):
         # A tolerance floored at 1 passed this: the defect is all of max |C|.
         c = 1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="Hermiticity"):
-            build_qubo(c, DigitizationParams(k_bits=1), np.zeros(2))
+            QuboForm(c, 1)
 
 
 class TestQuboProblem:
@@ -271,7 +280,7 @@ class TestQuboProblem:
         # Reference: add coefficient * x_i * x_j left to right over i <= j in
         # row-major order, starting from 0.0; energy() must match bit for bit.
         c = rng.normal(size=(4, 4))
-        full = build_qubo(c + c.T, DigitizationParams(k_bits=2, zoom=3), rng.normal(size=4))
+        full = build_qubo(QuboForm(c + c.T, 2), DigitizationParams(k_bits=2, zoom=3), rng.normal(size=4))
         reduced, _ = full.fix_variables({0: 0, 3: 0, 6: 1})
         for q in (full, reduced):
             for _ in range(200):

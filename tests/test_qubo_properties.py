@@ -3,10 +3,13 @@
 For random symmetric forms, priors, bit depths, zoom levels and directions,
 with some variables fixed and without: QUBO energy plus offset equals the
 quadratic form a^T C a of the digitized amplitudes, and the text format
-returns the same arrays and offset.
+returns the same arrays and offset.  For every pass of an AQAE run, the QUBO
+built from the run's one form has the bytes of the reference expansion at
+that pass's own digit weights.
 """
 
 import numpy as np
+from helpers import qubo_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,6 +18,7 @@ from nuanneal.aqae import clock_qubo, initial_estimate
 from nuanneal.clock import (
     DigitizationParams,
     Direction,
+    QuboForm,
     QuboProblem,
     apply_bit_updates,
     build_clock,
@@ -56,7 +60,7 @@ def test_random_form_with_and_without_fixed_bits(data, dim, params):
     m = data.draw(arrays(float, (dim, dim), elements=values))
     c = m + m.T
     prior = data.draw(arrays(float, dim, elements=values))
-    full = build_qubo(c, params, prior)
+    full = build_qubo(QuboForm(c, params.k_bits), params, prior)
     # Fix a random subset of variables (to 0 or 1); the empty subset is the
     # unfixed problem.
     chosen = data.draw(st.lists(st.integers(0, full.size - 1), unique=True, max_size=full.size))
@@ -84,11 +88,40 @@ def test_clock_qubo_with_and_without_frozen_register(data, register_dim, params,
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
     estimate = initial_estimate(clock) + shift
     if freeze:
-        q, kept = clock_qubo(clock, cemb, params, estimate)
+        form, kept = clock_qubo(clock, cemb, params.k_bits)
     else:
-        q = build_qubo(cemb, params, estimate)
-        kept = list(range(q.size))
+        form, kept = QuboForm(cemb, params.k_bits), list(range(cemb.shape[0] * params.k_bits))
+    q = build_qubo(form, params, estimate)
     frozen_bits = 2 * register_dim * params.k_bits if freeze else 0
     assert q.size == cemb.shape[0] * params.k_bits - frozen_bits
     _assert_faithful(q, kept, cemb, estimate, params, data)
     _assert_round_trip(q)
+
+
+@given(
+    data=st.data(),
+    register_dim=st.integers(1, 3),
+    steps=st.integers(1, 3),
+    k_bits=st.integers(1, 3),
+)
+def test_every_pass_has_the_bytes_of_the_reference_expansion(data, register_dim, steps, k_bits):
+    # Zoom 0 to 21 in both directions, as the blocked reference run makes
+    # them: one form per run, with the initial register frozen.
+    m = data.draw(arrays(complex, (register_dim, register_dim), elements=complex_values))
+    psi = data.draw(arrays(complex, register_dim, elements=complex_values).filter(lambda v: np.linalg.norm(v) > 0.1))
+    h = HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR)
+    clock = build_clock(h, psi / np.linalg.norm(psi), dt=data.draw(st.floats(0.1, 2.0)), steps=steps)
+    cemb = real_embed(clock)
+    form, _ = clock_qubo(clock, cemb, k_bits)
+    # Every slot but the initial register's real and imaginary parts.
+    live = np.r_[register_dim : clock.dim, clock.dim + register_dim : 2 * clock.dim]
+    shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
+    estimate = initial_estimate(clock) + shift
+    for zoom in range(22):
+        for direction in Direction:
+            params = DigitizationParams(k_bits, zoom, direction)
+            q = build_qubo(form, params, estimate)
+            lin, quad, offset = qubo_oracle(cemb, params, estimate, live)
+            assert q.lin.tobytes() == lin.tobytes()
+            assert q.quad.tobytes() == quad.tobytes()
+            assert np.float64(q.offset).tobytes() == np.float64(offset).tobytes()
