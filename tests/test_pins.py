@@ -57,6 +57,12 @@ header's ``"max_rewinds":3,`` entry deleted, and in the JSON reports the
 ``"max_rewinds": 3,`` line and every block run's ``"rewinds": 0,`` line;
 nothing else changed.  The two ``two_mode_bench.anneal*.json`` pins were
 left untouched.
+
+``four_mode_witnesses.csv`` and ``two_mode_majorana.csv`` pin ``nuanneal
+evolve`` on the two shipped configs of those names.  They were written at
+the commit before the mass-basis block split moved into one function of
+``evolution.py``: the first config conserves occupations and so takes the
+block-by-block path, the second (Majorana) takes the dense one.
 """
 
 import json
@@ -70,7 +76,8 @@ from nuanneal.cli import main
 from nuanneal.clock import QuboProblem
 
 DATA = Path(__file__).parent / "data"
-BENCH_CONFIG = Path(__file__).parent.parent / "configs" / "two_mode_bench.yaml"
+CONFIGS = Path(__file__).parent.parent / "configs"
+BENCH_CONFIG = CONFIGS / "two_mode_bench.yaml"
 
 AQAE_SMALL = {
     "seed": 5,
@@ -131,6 +138,14 @@ def test_zero_sweep_pin_scores_the_initial_bits_of_the_stream_contract():
     assert pin["best_bits"] == initial[:, int(np.argmin(energies))].tolist()
     for key, value in (("min", energies.min()), ("median", np.median(energies)), ("max", energies.max())):
         assert abs(pin[f"read_energy_{key}"] - value) < 1e-12
+
+
+# The first conserves occupations (blocked path), the second is Majorana (dense).
+@pytest.mark.parametrize("name", ["four_mode_witnesses", "two_mode_majorana"])
+def test_evolve_of_shipped_config(tmp_path, name):
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
 def _assert_aqae_pin(tmp_path: Path, raw: dict, flags: list[str], pin: str) -> None:
