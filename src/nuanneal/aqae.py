@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .annealer import AnnealSchedule, _native_kernel, anneal
-from .basis import BasisTag, StateVector, change_basis, mass_blocks
+# change_basis, mass_blocks, build_dirac_hamiltonian and restrict_to_block stay importable
+# here for perfbench/tracing.targets, until the benchmark change of ROADMAP item 1.
+from .basis import BasisTag, StateVector, apply_mode_unitary, change_basis, mass_blocks
 from .clock import (
     ClockMatrix,
     DigitizationParams,
@@ -35,17 +37,9 @@ from .clock import (
     real_embed,
     unembed_state,
 )
-from .evolution import Evolver
-from .hamiltonians import (
-    HamiltonianMatrix,
-    SystemSpec,
-    build_dirac_hamiltonian,
-    conserves_occupations,
-    restrict_to_block,
-)
+from .evolution import Evolver, split_blocks
+from .hamiltonians import HamiltonianMatrix, SystemSpec, build_dirac_hamiltonian, restrict_to_block
 from .witnesses import WitnessReport, compute_witnesses
-
-ZERO_BLOCK_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,13 @@ def clock_steps(t: float, dt: float | None) -> tuple[int, float]:
     return steps, t / steps if t > 0 else 0.0
 
 
-def clock_qubo(clock: ClockMatrix, cemb: np.ndarray, k_bits: int) -> tuple[QuboForm, list[int]]:
+def clock_qubo(clock: ClockMatrix, cemb: np.ndarray, k_bits: int) -> QuboForm:
     """A run's :class:`QuboForm` over ``cemb = real_embed(clock)``, ``k_bits``
-    bits per slot, and the original indices of its bits.  The initial
-    register's real and imaginary slots are left out, so each pass's QUBO is
-    the full QUBO with their bits fixed to 0, keeping their values."""
+    bits per slot.  The initial register's real and imaginary slots are left
+    out of ``live``, so each pass's QUBO is the full QUBO with their bits
+    fixed to 0, keeping their values."""
     d, half = clock.register_dim, clock.dim
-    live = np.r_[d:half, half + d : 2 * half]
-    return QuboForm(cemb, k_bits, live), (live[:, None] * k_bits + np.arange(k_bits)).ravel().tolist()
+    return QuboForm(cemb, k_bits, np.r_[d:half, half + d : 2 * half])
 
 
 def run_aqae(
@@ -139,7 +132,7 @@ def run_aqae(
     exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
 
     estimate = initial_estimate(clock)
-    form, kept = clock_qubo(clock, cemb, cfg.k_bits)
+    form = clock_qubo(clock, cemb, cfg.k_bits)
     diagnostics: list[dict] = []
     iteration = 0
     for z in range(cfg.max_zoom):
@@ -148,9 +141,7 @@ def run_aqae(
             qubo = build_qubo(form, params, estimate)
             schedule = AnnealSchedule(cfg.sweeps, cfg.reads, seed=_derived_seed(cfg.seed, iteration))
             result = anneal(qubo, schedule)
-            bits = np.zeros(cemb.shape[0] * cfg.k_bits)
-            bits[kept] = result.best_bits
-            estimate = apply_bit_updates(estimate, bits, params)
+            estimate[form.live] = apply_bit_updates(estimate[form.live], result.best_bits, params)
             entry = {
                 "iteration": iteration,
                 "zoom": z,
@@ -169,8 +160,7 @@ def run_aqae(
     # Digitization floor: the residual a perfect annealer leaves at zoom z is
     # O(2^-z) per live slot, so a last pass above it at the last zoom has not
     # converged.
-    n_live = 2 * (clock.dim - clock.register_dim)
-    floor = 16.0 * float(np.linalg.norm(cemb, 2)) * n_live * 4.0 ** (1 - cfg.max_zoom)
+    floor = 16.0 * float(np.linalg.norm(cemb, 2)) * form.live.size * 4.0 ** (1 - cfg.max_zoom)
     return AqaeResult(final / norm, estimate, diagnostics[-1]["clock_energy"] <= floor, diagnostics)
 
 
@@ -217,9 +207,9 @@ def _run_block(args: tuple) -> AqaeResult:
 @contextmanager
 def _block_runs(calls: dict[tuple[int, int], tuple]):
     """Yield ``result_of(t_idx, b_idx)``, which returns the :func:`run_aqae`
-    result of that key's call or raises that run's exception.  ``calls``
-    maps each key to the positional arguments (h, initial, dt, cfg, steps,
-    oracle).
+    result of that key's call or raises that run's exception, a
+    ``BrokenProcessPool`` if a worker died first.  ``calls`` maps each key
+    to the positional arguments (h, initial, dt, cfg, steps, oracle).
 
     The runs go to forked worker processes, one per usable CPU up to the
     number of runs, largest block size times clock steps first.  They run
@@ -234,16 +224,21 @@ def _block_runs(calls: dict[tuple[int, int], tuple]):
     if workers < 2:
         yield lambda *key: run_aqae(*calls[key])
         return
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 
     # Built here, before the fork, so that no worker compiles the step loop.
     _native_kernel()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    futures, unsubmitted = {}, Future()
     try:
         # Block size times clock steps, largest first; ties keep their order.
-        order = sorted(calls, key=lambda key: -len(calls[key][1]) * calls[key][4])
-        futures = {key: pool.submit(_run_block, calls[key]) for key in order}
-        yield lambda *key: futures[key].result()
+        # A worker dying mid-submission breaks the pool; the runs not yet submitted raise that error.
+        try:
+            for key in sorted(calls, key=lambda key: -len(calls[key][1]) * calls[key][4]):
+                futures[key] = pool.submit(_run_block, calls[key])
+        except BrokenExecutor as exc:
+            unsubmitted.set_exception(exc)
+        yield lambda *key: futures.get(key, unsubmitted).result()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -258,19 +253,19 @@ def run_aqae_blocked(
 ) -> BlockedAqaeResult:
     """Blocked AQAE over the mass-basis occupation decomposition.
 
-    The flavor initial state is rotated to the mass basis and split into
-    occupation blocks; at every sample time the blocks with weight above
-    ``ZERO_BLOCK_NORM`` are annealed independently, reassembled, and rotated
-    back before the witnesses are computed.  Each live block is one
-    :func:`run_aqae` call, seeded from (config seed, time index, block
-    index), so the runs are independent: they fan out to worker processes
-    (see :func:`_block_runs`) and are reassembled in (time, block) order,
-    which leaves every output as a serial run gives it.  The first failure
-    in that order raises a RuntimeError naming its block and time (a
-    :class:`RegisterCollapse` when that run's final register collapsed); a
-    MemoryError passes through unwrapped.  Each time's clock comes from
-    :func:`clock_steps` at step size ``dt``.  A negative time or
-    a ``dt`` that is not positive raises ValueError before any block is
+    The flavor initial state is split into occupation blocks by
+    :func:`split_blocks`; at every sample time its live blocks are annealed
+    independently, reassembled, and rotated back before the witnesses are
+    computed.  Each live block is one :func:`run_aqae` call, seeded from
+    (config seed, time index, block index), so the runs are independent:
+    they fan out to worker processes (see :func:`_block_runs`) and are
+    reassembled in (time, block) order, which leaves every output as a
+    serial run gives it.  The first failure in that order raises a
+    RuntimeError naming its block and time (a :class:`RegisterCollapse`
+    when that run's final register collapsed); a MemoryError passes through
+    unwrapped.  Each time's clock comes from :func:`clock_steps` at step
+    size ``dt``.  A negative time, a ``dt`` that is not positive or a system
+    that does not conserve occupations raises ValueError before any block is
     annealed.  Nothing is renormalised: a reassembled state whose norm
     drifts from 1 by more than 1e-12 raises ValueError.
     """
@@ -278,33 +273,22 @@ def run_aqae_blocked(
         raise ValueError("sample times must be non-negative")
     if dt is not None and dt <= 0:
         raise ValueError(f"dt must be positive when set, got {dt}")
-    if not conserves_occupations(spec):
-        raise ValueError(
-            "blocked AQAE requires an all-neutrino Dirac system with one-body vectors on the "
-            "diagonal generators; any other is not block-diagonal over mass-basis occupations"
-        )
-    if initial.basis is not BasisTag.FLAVOR:
-        raise ValueError("blocked AQAE expects a flavor-basis initial state")
-    h_mass = build_dirac_hamiltonian(spec, BasisTag.MASS)
-    blocks = mass_blocks(spec.nf, spec.n_modes)
-    psi_mass = change_basis(initial, BasisTag.MASS, spec.pmns)
     # Block weights do not change in time: each live block is cut out of H
     # (and checked) once for all sample times.
-    subs = [psi_mass.amplitudes[np.asarray(block.indices)] for block in blocks]
-    weights = [float(np.linalg.norm(sub)) for sub in subs]
-    h_blocks: dict[int, HamiltonianMatrix] = {}
-    for b_idx, block in enumerate(blocks):
-        if weights[b_idx] > ZERO_BLOCK_NORM:
-            h_blocks[b_idx] = restrict_to_block(h_mass, block)
+    u, psi_mass, parts = split_blocks(spec, initial)
+    if initial.basis is not BasisTag.FLAVOR:
+        raise ValueError("blocked AQAE expects a flavor-basis initial state")
 
     # Every live (time, block) pair is one independent run, seeded from
     # (config seed, time index, block index).
     calls: dict[tuple[int, int], tuple] = {}
     for t_idx, t in enumerate(times):
         steps, step_dt = clock_steps(t, dt)
-        for b_idx, h_block in h_blocks.items():
-            block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
-            calls[t_idx, b_idx] = (h_block, subs[b_idx] / weights[b_idx], step_dt, block_cfg, steps, oracle)
+        for b_idx, (block, weight, h_block) in enumerate(parts):
+            if h_block is not None:
+                block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
+                sub = psi_mass[np.asarray(block.indices)] / weight
+                calls[t_idx, b_idx] = (h_block, sub, step_dt, block_cfg, steps, oracle)
 
     reports: list[WitnessReport] = []
     block_reports: list[list[BlockRunReport]] = []
@@ -312,8 +296,8 @@ def run_aqae_blocked(
         for t_idx, t in enumerate(times):
             per_block: list[BlockRunReport] = []
             assembled = np.zeros(spec.dim, dtype=complex)
-            for b_idx, (block, weight) in enumerate(zip(blocks, weights)):
-                if b_idx not in h_blocks:
+            for b_idx, (block, weight, h_block) in enumerate(parts):
+                if h_block is None:
                     per_block.append(BlockRunReport(block.occupation, block.size, weight, skipped=True))
                     continue
                 try:
@@ -333,8 +317,7 @@ def run_aqae_blocked(
                         final_energy=last["clock_energy"], overlap=last.get("overlap"),
                     )
                 )
-            mass_state = StateVector(assembled, BasisTag.MASS, spec.nf, spec.n_modes)
-            flavor_state = change_basis(mass_state, BasisTag.FLAVOR, spec.pmns)
-            reports.append(compute_witnesses(flavor_state, time=t))
+            flavor = initial.with_amplitudes(apply_mode_unitary(assembled, u, spec.nf, spec.n_modes))
+            reports.append(compute_witnesses(flavor, time=t))
             block_reports.append(per_block)
     return BlockedAqaeResult(reports, block_reports)

@@ -132,10 +132,6 @@ class StateVector:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than 1e-12")
 
-    @property
-    def dim(self) -> int:
-        return self.nf**self.n_modes
-
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(amplitudes, self.basis, self.nf, self.n_modes)
 

@@ -107,7 +107,7 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     steps, step_dt = clock_steps(q.time, cfg.aqae_dt)
     clock = build_clock(h, cfg.initial.amplitudes, step_dt, steps)
     params = DigitizationParams(cfg.aqae.k_bits, q.zoom, q.direction)
-    form, _ = clock_qubo(clock, real_embed(clock), params.k_bits)
+    form = clock_qubo(clock, real_embed(clock), params.k_bits)
     problem = build_qubo(form, params, initial_estimate(clock))
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)

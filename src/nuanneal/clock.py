@@ -24,6 +24,8 @@ vector ``lin``, a symmetric zero-diagonal coupling matrix ``quad`` and an
 checked real matrix, its live slots and their zoom-0 couplings) and each
 pass turns it into a problem with :func:`build_qubo`, which scales the
 couplings by 4^-z and adds the terms of that pass's prior.
+
+With the initial register frozen and one clock step, the live clock is I / 2, so no coupler joins two slots.
 """
 
 from __future__ import annotations

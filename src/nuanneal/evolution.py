@@ -19,6 +19,9 @@ from .hamiltonians import (
     restrict_to_block,
 )
 
+# A block whose mass-basis amplitudes have at most this norm is left out.
+ZERO_BLOCK_NORM = 1e-12
+
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
@@ -45,11 +48,33 @@ class Evolver:
         return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)
 
 
+def split_blocks(spec: SystemSpec, initial: StateVector) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Mass-basis occupation blocks of ``initial`` for exact and annealed evolution
+    (Pehlivan, Balantekin, Kajino & Yoshida, PRD 84, 065008 (2011)): (U, psi, parts).
+
+    U maps the mass basis to that of ``initial`` per mode (PMNS, or I for a mass
+    state), psi is ``initial`` in the mass basis, and ``parts`` holds (block, weight,
+    H) per :func:`mass_blocks` block, H cut once, or None at weight <= ``ZERO_BLOCK_NORM``.
+    """
+    if not conserves_occupations(spec):
+        raise ValueError(
+            "the block split needs an all-neutrino Dirac system with one-body vectors on the diagonal generators"
+        )
+    u = pmns_matrix(spec.pmns, spec.nf) if initial.basis is BasisTag.FLAVOR else np.eye(spec.nf)
+    psi = apply_mode_unitary(initial.amplitudes, u.conj().T, spec.nf, spec.n_modes)
+    h = build_hamiltonian(spec, BasisTag.MASS)
+    parts = []
+    for block in mass_blocks(spec.nf, spec.n_modes):
+        weight = float(np.linalg.norm(psi[np.asarray(block.indices)]))
+        parts.append((block, weight, restrict_to_block(h, block) if weight > ZERO_BLOCK_NORM else None))
+    return u, psi, parts
+
+
 def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) -> list[StateVector]:
     """Exact states at the given times, in the basis of the initial state.
 
     A system that :func:`conserves_occupations` evolves in the mass basis,
-    one eigendecomposition per occupation block with amplitude; any other
+    one eigendecomposition per live block of :func:`split_blocks`; any other
     takes one dense eigendecomposition (mixed neutrino/antineutrino and
     Majorana systems in the flavor basis only).  Nothing is renormalised:
     a state whose norm drifts from 1 by more than 1e-12 raises ValueError.
@@ -58,7 +83,7 @@ def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) ->
         raise ValueError("sample times must be non-negative")
     # The long-lived outputs are allocated before the dense Hamiltonian and
     # its eigendecomposition, not among those multi-megabyte temporaries.
-    amps = np.empty((len(times), spec.dim), dtype=complex)
+    amps = np.zeros((len(times), spec.dim), dtype=complex)
     if not conserves_occupations(spec):
         evolver = Evolver(build_hamiltonian(spec, initial.basis))
         for amp, t in zip(amps, times):
@@ -66,16 +91,13 @@ def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) ->
         return [initial.with_amplitudes(amp) for amp in amps]
     # Evolve in the mass basis block by block and rotate back only the change
     # since t = 0, so that a state that does not move is returned exactly.
-    u = pmns_matrix(spec.pmns, spec.nf) if initial.basis is BasisTag.FLAVOR else np.eye(spec.nf)
-    psi = apply_mode_unitary(initial.amplitudes, u.conj().T, spec.nf, spec.n_modes)
-    h = build_hamiltonian(spec, BasisTag.MASS)
-    changes = np.zeros((len(times), spec.dim), dtype=complex)
-    for block in mass_blocks(spec.nf, spec.n_modes):
-        idx = np.asarray(block.indices)
-        if np.any(psi[idx]):
-            evolver = Evolver(restrict_to_block(h, block))
-            for change, t in zip(changes, times):
+    u, psi, parts = split_blocks(spec, initial)
+    for block, _, h in parts:
+        if h is not None:
+            idx = np.asarray(block.indices)
+            evolver = Evolver(h)
+            for change, t in zip(amps, times):
                 change[idx] = evolver.evolve(psi[idx], t) - psi[idx]
-    for amp, c in zip(amps, changes):
-        amp[:] = initial.amplitudes + apply_mode_unitary(c, u, spec.nf, spec.n_modes)
+    for amp in amps:
+        amp[:] = initial.amplitudes + apply_mode_unitary(amp, u, spec.nf, spec.n_modes)
     return [initial.with_amplitudes(amp) for amp in amps]

@@ -72,11 +72,6 @@ class WitnessReport:
     def pair_order(n_modes: int) -> list[tuple[int, int]]:
         return [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
 
-    def max_witness(self) -> float:
-        values = [float(np.max(self.entropies))] if len(self.entropies) else [0.0]
-        values.extend(self.negativities.values())
-        return max(values)
-
 
 def compute_witnesses(state: StateVector, time: float = 0.0) -> WitnessReport:
     """Entropy of every mode and negativity of every unordered pair."""

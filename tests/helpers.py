@@ -261,6 +261,13 @@ def negativity_oracle(amplitudes: np.ndarray, i: int, j: int, nf: int, n_modes: 
 # ---------------------------------------------------------------------------
 
 
+def max_witness(report) -> float:
+    """Largest entropy or negativity of a :class:`WitnessReport`."""
+    values = [float(np.max(report.entropies))] if len(report.entropies) else [0.0]
+    values.extend(report.negativities.values())
+    return max(values)
+
+
 def dominant_frequency(series: list[tuple[float, float]]) -> float:
     """Frequency (cycles per 1/eV, i.e. eV) of the strongest oscillation.
 
@@ -369,6 +376,36 @@ def reference_anneal(q, schedule) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Reference QUBO expansion
 # ---------------------------------------------------------------------------
+
+
+def live_bits(form) -> np.ndarray:
+    """Indices in the full slot-major bit vector (K bits per slot) of a
+    :class:`QuboForm`'s bits: the K bits of each of its live slots."""
+    return (form.live[:, None] * form.k_bits + np.arange(form.k_bits)).ravel()
+
+
+def cross_slot_couplers(q, k_bits: int) -> np.ndarray:
+    """``q.quad`` with the couplers inside each slot's K bits set to 0, so
+    that what is left joins two different slots."""
+    n = q.size // k_bits
+    cross = q.quad.reshape(n, k_bits, n, k_bits).copy()
+    cross[np.arange(n), :, np.arange(n), :] = 0.0
+    return cross.reshape(q.size, q.size)
+
+
+def slot_minimum(q, k_bits: int) -> tuple[np.ndarray, float]:
+    """Exact minimum (bits, energy with the offset) of a QUBO over K-bit
+    slots that no coupler joins: all 2^K assignments of every slot are
+    scored at once and each slot takes its lowest.  A cross-slot coupler
+    raises ValueError."""
+    if np.any(cross := cross_slot_couplers(q, k_bits)):
+        raise ValueError(f"cross-slot coupler of size {np.max(np.abs(cross)):.3g}")
+    n = q.size // k_bits
+    states = ((np.arange(2**k_bits)[:, None] >> np.arange(k_bits)) & 1).astype(float)
+    own = q.quad.reshape(n, k_bits, n, k_bits)[np.arange(n), :, np.arange(n), :]
+    energies = q.lin.reshape(n, k_bits) @ states.T + 0.5 * np.einsum("sa,nab,sb->ns", states, own, states)
+    best = np.argmin(energies, axis=1)
+    return states[best].ravel().astype(np.int8), float(energies[np.arange(n), best].sum() + q.offset)
 
 
 def qubo_oracle(real_c, params, prior, live=None) -> tuple[np.ndarray, np.ndarray, float]:

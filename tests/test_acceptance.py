@@ -16,6 +16,8 @@ from helpers import (
     REFERENCE_S3,
     REFERENCE_TIMES,
     dominant_frequency,
+    live_bits,
+    max_witness,
     reference_config,
 )
 
@@ -129,10 +131,8 @@ def _exhaustive_failures(clock, k_bits, frozen):
     cemb = real_embed(clock)
     prior = initial_estimate(clock)
     n_slots = cemb.shape[0]
-    if frozen:
-        form, kept = clock_qubo(clock, cemb, k_bits)
-    else:
-        form, kept = QuboForm(cemb, k_bits), list(range(n_slots * k_bits))
+    form = clock_qubo(clock, cemb, k_bits) if frozen else QuboForm(cemb, k_bits)
+    kept = live_bits(form)
     for zoom in (0, 1, 2):
         for direction in (Direction.FORWARD, Direction.REVERSE):
             params = DigitizationParams(k_bits, zoom, direction)
@@ -313,7 +313,7 @@ def test_criterion_09_interaction_only_selection_rule():
             )
             peak = 0.0
             for state, t in zip(evolve_series(cfg.spec, cfg.initial, times), times):
-                peak = max(peak, compute_witnesses(state, t).max_witness())
+                peak = max(peak, max_witness(compute_witnesses(state, t)))
             label = f"nf={nf} {flavors}/{tuple(s[0] for s in species)}"
             if should_entangle and peak <= 1e-6:
                 failures.append(f"{label}: expected entanglement, peak {peak:.2e}")

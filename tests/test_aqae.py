@@ -9,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_config
+from helpers import cross_slot_couplers, reference_config, slot_minimum
 
 import nuanneal.aqae as aqae_mod
+import nuanneal.evolution as evolution_mod
 from nuanneal.annealer import AnnealResult, anneal
-from nuanneal.aqae import AqaeConfig, _derived_seed, run_aqae, run_aqae_blocked
+from nuanneal.aqae import AqaeConfig, _derived_seed, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
 from nuanneal.basis import BasisTag, StateVector, change_basis, mass_blocks
 from nuanneal.cli import main
-from nuanneal.clock import build_qubo, unembed_state
+from nuanneal.clock import DigitizationParams, build_clock, build_qubo, real_embed, unembed_state
 from nuanneal.config import load_config
-from nuanneal.evolution import Evolver, propagator
+from nuanneal.evolution import Evolver, evolve_series, propagator, split_blocks
 from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian, restrict_to_block
 from nuanneal.witnesses import compute_witnesses
 
@@ -202,18 +203,25 @@ class TestRunAqaeBlocked:
         assert sizes == [1, 1, 1, 2, 2, 2]
 
     def test_each_live_block_is_restricted_once_per_call(self, monkeypatch):
+        # Both drivers cut their blocks through evolution.split_blocks.
         cut = []
 
         def counting_restrict(h, block):
             cut.append(block.occupation)
             return restrict_to_block(h, block)
 
-        monkeypatch.setattr(aqae_mod, "restrict_to_block", counting_restrict)
         cfg = reference_config(2, 3, initial=("e", "mu"))
+        _, _, parts = split_blocks(cfg.spec, cfg.initial)
+        live = [block.occupation for block, _, h in parts if h is not None]
+        monkeypatch.setattr(evolution_mod, "restrict_to_block", counting_restrict)
+        times = [1e11, 2e11, 3e11]
         acfg = AqaeConfig(k_bits=1, max_zoom=4, reads=8, sweeps=16, seed=1)
-        result = run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11, 2e11, 3e11], acfg)
-        live = [rep.occupation for rep in result.block_reports[0] if not rep.skipped]
+        result = run_aqae_blocked(cfg.spec, cfg.initial, None, times, acfg)
+        assert live == [rep.occupation for rep in result.block_reports[0] if not rep.skipped]
         assert sorted(cut) == sorted(live) and len(live) >= 2
+        cut.clear()
+        evolve_series(cfg.spec, cfg.initial, times)
+        assert sorted(cut) == sorted(live)
 
     @pytest.mark.parametrize("dt", [None, 1.1e12], ids=["one-step", "three-step"])
     def test_clock_energy_never_rises_from_pass_to_pass(self, monkeypatch, cpus, dt):
@@ -399,6 +407,50 @@ class TestRunAqaeBlocked:
         assert isinstance(info.value.__cause__, FloatingPointError)
 
 
+class TestOneStepStructure:
+    """With the initial register frozen and one clock step, the live part of
+    the clock is 1/2 I, so no coupler joins two slots and each pass splits
+    into one 2^K-state problem per slot."""
+
+    def test_cross_slot_couplers_vanish_at_one_step_only(self):
+        # The 15 live reference blocks at t = 3.3e12: exactly 0 at one step,
+        # up to about 3.9 at two.
+        cfg = load_config(AQAE_CONFIG)
+        _, psi, parts = split_blocks(cfg.spec, cfg.initial)
+        live = [(h, psi[np.asarray(block.indices)] / weight) for block, weight, h in parts if h is not None]
+        assert len(live) == 15
+        for k_bits in (1, 2, 3):
+            largest = {}
+            for steps in (1, 2):
+                largest[steps] = 0.0
+                for h, sub in live:
+                    clock = build_clock(h, sub, 3.3e12 / steps, steps)
+                    form = clock_qubo(clock, real_embed(clock), k_bits)
+                    q = build_qubo(form, DigitizationParams(k_bits), initial_estimate(clock))
+                    largest[steps] = max(largest[steps], float(np.max(np.abs(cross_slot_couplers(q, k_bits)))))
+            assert largest[1] == 0.0 and largest[2] > 1.0, (k_bits, largest)
+            with pytest.raises(ValueError, match="cross-slot coupler"):
+                slot_minimum(q, k_bits)
+
+    def test_every_pass_of_a_one_step_row_returns_the_slot_minimum(self, monkeypatch, cpus):
+        # Serial, so that the passes are checked in this process.
+        cpus(1)
+        cfg = load_config(AQAE_CONFIG)
+        gaps = []
+
+        def checked_anneal(q, s):
+            result = anneal(q, s)
+            _, lowest = slot_minimum(q, cfg.aqae.k_bits)
+            scale = abs(q.offset) + np.abs(q.lin).sum()
+            gaps.append(abs(result.best_energy - lowest) / scale)
+            return result
+
+        monkeypatch.setattr(aqae_mod, "anneal", checked_anneal)
+        run_aqae_blocked(cfg.spec, cfg.initial, None, [3.3e12], cfg.aqae)
+        assert len(gaps) == 15 * cfg.aqae.max_zoom * 2
+        assert max(gaps) <= 8 * np.finfo(float).eps
+
+
 class TestBlockRunsInWorkers:
     """Two usable CPUs fork a pool of two workers, one CPU runs in-process."""
 
@@ -447,10 +499,9 @@ class TestBlockRunsInWorkers:
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_that_dies_raises_instead_of_hanging(self):
-        # In a child interpreter, so that a hang is cut by the timeout.  The
-        # patched annealer ends any worker at once and raises in the caller.
-        script = """
+    # Run in a child interpreter, so that a hang is cut by the timeout.  The
+    # patched annealer ends any worker at once and raises in the caller.
+    DYING_WORKER = """
 import os
 import nuanneal.aqae as aqae
 from nuanneal.config import resolve_config
@@ -470,11 +521,40 @@ try:
 except RuntimeError as exc:
     print(type(exc.__cause__).__name__)
 """
+
+    # Every submit after the first waits long enough for the first run's
+    # worker to die, so that the pool breaks while runs are being submitted.
+    SLOW_SUBMIT = """
+import time
+from concurrent.futures import ProcessPoolExecutor
+
+submit, submitted = ProcessPoolExecutor.submit, []
+
+def slow_submit(self, *args):
+    if submitted:
+        time.sleep(0.5)
+    submitted.append(args)
+    return submit(self, *args)
+
+ProcessPoolExecutor.submit = slow_submit
+"""
+
+    def _dying_worker_output(self, patch: str = "") -> tuple[int, str, str]:
         run = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", patch + self.DYING_WORKER],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(Path(aqae_mod.__file__).parents[1])},
             timeout=120,
         )
-        assert (run.returncode, run.stdout) == (0, "BrokenProcessPool\n"), run.stderr
+        return run.returncode, run.stdout, run.stderr
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(self):
+        code, out, err = self._dying_worker_output()
+        assert (code, out) == (0, "BrokenProcessPool\n"), err
+
+    def test_a_worker_that_dies_while_runs_are_submitted_names_its_block(self):
+        # The broken pool reaches the caller as the documented RuntimeError,
+        # not as a bare BrokenProcessPool from submit.
+        code, out, err = self._dying_worker_output(self.SLOW_SUBMIT)
+        assert (code, out) == (0, "BrokenProcessPool\n"), err

@@ -9,7 +9,7 @@ that pass's own digit weights.
 """
 
 import numpy as np
-from helpers import qubo_oracle
+from helpers import live_bits, qubo_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -37,7 +37,7 @@ digitizations = st.builds(
 )
 
 
-def _assert_faithful(q: QuboProblem, kept: list[int], c, prior, params, data) -> None:
+def _assert_faithful(q: QuboProblem, kept, c, prior, params, data) -> None:
     """Energy plus offset against the quadratic form on one drawn bitstring."""
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.size, max_size=q.size)))
     fixed = np.zeros(c.shape[0] * params.k_bits)
@@ -87,14 +87,11 @@ def test_clock_qubo_with_and_without_frozen_register(data, register_dim, params,
     cemb = real_embed(clock)
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
     estimate = initial_estimate(clock) + shift
-    if freeze:
-        form, kept = clock_qubo(clock, cemb, params.k_bits)
-    else:
-        form, kept = QuboForm(cemb, params.k_bits), list(range(cemb.shape[0] * params.k_bits))
+    form = clock_qubo(clock, cemb, params.k_bits) if freeze else QuboForm(cemb, params.k_bits)
     q = build_qubo(form, params, estimate)
     frozen_bits = 2 * register_dim * params.k_bits if freeze else 0
     assert q.size == cemb.shape[0] * params.k_bits - frozen_bits
-    _assert_faithful(q, kept, cemb, estimate, params, data)
+    _assert_faithful(q, live_bits(form), cemb, estimate, params, data)
     _assert_round_trip(q)
 
 
@@ -112,7 +109,7 @@ def test_every_pass_has_the_bytes_of_the_reference_expansion(data, register_dim,
     h = HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR)
     clock = build_clock(h, psi / np.linalg.norm(psi), dt=data.draw(st.floats(0.1, 2.0)), steps=steps)
     cemb = real_embed(clock)
-    form, _ = clock_qubo(clock, cemb, k_bits)
+    form = clock_qubo(clock, cemb, k_bits)
     # Every slot but the initial register's real and imaginary parts.
     live = np.r_[register_dim : clock.dim, clock.dim + register_dim : 2 * clock.dim]
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))

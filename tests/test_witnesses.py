@@ -9,6 +9,7 @@ from helpers import (
     entropy_oracle,
     exchange_witness_oracle,
     kron_chain,
+    max_witness,
     negativity_oracle,
     rdm_oracle,
     reference_config,
@@ -240,7 +241,7 @@ class TestInteractionOnlySelectionRule:
             )
             peak = 0.0
             for state, t in zip(evolve_series(cfg.spec, cfg.initial, times), times):
-                peak = max(peak, compute_witnesses(state, t).max_witness())
+                peak = max(peak, max_witness(compute_witnesses(state, t)))
             if entangles:
                 assert peak > 1e-6, (flavors, species)
             else:
