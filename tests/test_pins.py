@@ -63,6 +63,12 @@ evolve`` on the two shipped configs of those names.  They were written at
 the commit before the mass-basis block split moved into one function of
 ``evolution.py``: the first config conserves occupations and so takes the
 block-by-block path, the second (Majorana) takes the dense one.
+
+``four_mode_aqae.csv`` and ``four_mode_aqae.json`` pin the shipped reference
+run, ``nuanneal aqae --config configs/four_mode_aqae.yaml --oracle``: four
+modes, three flavors, nine sample times, every live block under the oracle.
+They were written at the commit before both block drivers rebuilt their
+states by one rule (the initial state plus the rotated mass-basis change).
 """
 
 import json
@@ -146,6 +152,13 @@ def test_evolve_of_shipped_config(tmp_path, name):
     out = tmp_path / "evolve.csv"
     assert main(["evolve", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def test_aqae_of_shipped_reference_config(tmp_path):
+    out = tmp_path / "aqae.csv"
+    assert main(["aqae", "--config", str(CONFIGS / "four_mode_aqae.yaml"), "--oracle", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "four_mode_aqae.csv").read_bytes()
+    assert out.with_suffix(".json").read_bytes() == (DATA / "four_mode_aqae.json").read_bytes()
 
 
 def _assert_aqae_pin(tmp_path: Path, raw: dict, flags: list[str], pin: str) -> None:
