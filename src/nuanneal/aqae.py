@@ -24,7 +24,7 @@ import numpy as np
 from .annealer import AnnealSchedule, _native_kernel, anneal
 # change_basis, mass_blocks, build_dirac_hamiltonian and restrict_to_block stay importable
 # here for perfbench/tracing.targets, until the benchmark change of ROADMAP item 1.
-from .basis import BasisTag, StateVector, apply_mode_unitary, change_basis, mass_blocks
+from .basis import StateVector, change_basis, mass_blocks
 from .clock import (
     ClockMatrix,
     DigitizationParams,
@@ -101,13 +101,13 @@ def clock_steps(t: float, dt: float | None) -> tuple[int, float]:
     return steps, t / steps if t > 0 else 0.0
 
 
-def clock_qubo(clock: ClockMatrix, cemb: np.ndarray, k_bits: int) -> QuboForm:
-    """A run's :class:`QuboForm` over ``cemb = real_embed(clock)``, ``k_bits``
-    bits per slot.  The initial register's real and imaginary slots are left
-    out of ``live``, so each pass's QUBO is the full QUBO with their bits
-    fixed to 0, keeping their values."""
+def clock_qubo(clock: ClockMatrix, k_bits: int) -> QuboForm:
+    """A run's :class:`QuboForm` over ``real_embed(clock)``, ``k_bits`` bits
+    per slot.  The initial register's real and imaginary slots are left out
+    of ``live``, so each pass's QUBO is the full QUBO with their bits fixed
+    to 0, keeping their values."""
     d, half = clock.register_dim, clock.dim
-    return QuboForm(cemb, k_bits, np.r_[d:half, half + d : 2 * half])
+    return QuboForm(real_embed(clock), k_bits, np.r_[d:half, half + d : 2 * half])
 
 
 def run_aqae(
@@ -127,12 +127,11 @@ def run_aqae(
     """
     psi0 = np.asarray(initial, dtype=complex)
     clock = build_clock(h, psi0, dt, steps)
-    cemb = real_embed(clock)
 
     exact_final = Evolver(h).evolve(psi0, dt * steps) if oracle else None
 
     estimate = initial_estimate(clock)
-    form = clock_qubo(clock, cemb, cfg.k_bits)
+    form = clock_qubo(clock, cfg.k_bits)
     diagnostics: list[dict] = []
     iteration = 0
     for z in range(cfg.max_zoom):
@@ -160,7 +159,7 @@ def run_aqae(
     # Digitization floor: the residual a perfect annealer leaves at zoom z is
     # O(2^-z) per live slot, so a last pass above it at the last zoom has not
     # converged.
-    floor = 16.0 * float(np.linalg.norm(cemb, 2)) * form.live.size * 4.0 ** (1 - cfg.max_zoom)
+    floor = 16.0 * float(np.linalg.norm(form.c, 2)) * form.live.size * 4.0 ** (1 - cfg.max_zoom)
     return AqaeResult(final / norm, estimate, diagnostics[-1]["clock_energy"] <= floor, diagnostics)
 
 
@@ -253,21 +252,23 @@ def run_aqae_blocked(
 ) -> BlockedAqaeResult:
     """Blocked AQAE over the mass-basis occupation decomposition.
 
-    The flavor initial state is split into occupation blocks by
-    :func:`split_blocks`; at every sample time its live blocks are annealed
-    independently, reassembled, and rotated back before the witnesses are
-    computed.  Each live block is one :func:`run_aqae` call, seeded from
-    (config seed, time index, block index), so the runs are independent:
-    they fan out to worker processes (see :func:`_block_runs`) and are
-    reassembled in (time, block) order, which leaves every output as a
+    The initial state is split into occupation blocks by :func:`split_blocks`,
+    in either basis; at every sample time its live blocks are annealed
+    independently and the split rebuilds the state from their change before
+    the witnesses are computed.  Each live block is one :func:`run_aqae` call,
+    seeded from (config seed, time index, block index), so the runs are
+    independent: they fan out to worker processes (see :func:`_block_runs`)
+    and are reassembled in (time, block) order, which leaves every output as a
     serial run gives it.  The first failure in that order raises a
-    RuntimeError naming its block and time (a :class:`RegisterCollapse`
-    when that run's final register collapsed); a MemoryError passes through
-    unwrapped.  Each time's clock comes from :func:`clock_steps` at step
-    size ``dt``.  A negative time, a ``dt`` that is not positive or a system
-    that does not conserve occupations raises ValueError before any block is
-    annealed.  Nothing is renormalised: a reassembled state whose norm
-    drifts from 1 by more than 1e-12 raises ValueError.
+    RuntimeError naming its block and time (a :class:`RegisterCollapse` when
+    that run's final register collapsed); a MemoryError passes through
+    unwrapped.  Each time's clock comes from :func:`clock_steps` at step size
+    ``dt``.  A negative time, a ``dt`` that is not positive or a system that
+    does not conserve occupations raises ValueError before any block is
+    annealed.  :func:`run_aqae` divides each block's final register by its
+    norm, so the rebuilt state's 1e-12 norm check (ValueError) sees only
+    rounding, not annealing drift; a bound on that drift from each run's
+    clock energy is ROADMAP item 2.
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
@@ -275,28 +276,22 @@ def run_aqae_blocked(
         raise ValueError(f"dt must be positive when set, got {dt}")
     # Block weights do not change in time: each live block is cut out of H
     # (and checked) once for all sample times.
-    u, psi_mass, parts = split_blocks(spec, initial)
-    if initial.basis is not BasisTag.FLAVOR:
-        raise ValueError("blocked AQAE expects a flavor-basis initial state")
-
-    # Every live (time, block) pair is one independent run, seeded from
-    # (config seed, time index, block index).
+    psi, parts, rebuild = split_blocks(spec, initial)
     calls: dict[tuple[int, int], tuple] = {}
     for t_idx, t in enumerate(times):
         steps, step_dt = clock_steps(t, dt)
-        for b_idx, (block, weight, h_block) in enumerate(parts):
+        for b_idx, (_, idx, weight, h_block) in enumerate(parts):
             if h_block is not None:
                 block_cfg = replace(cfg, seed=_derived_seed(cfg.seed, t_idx, b_idx))
-                sub = psi_mass[np.asarray(block.indices)] / weight
-                calls[t_idx, b_idx] = (h_block, sub, step_dt, block_cfg, steps, oracle)
+                calls[t_idx, b_idx] = (h_block, psi[idx] / weight, step_dt, block_cfg, steps, oracle)
 
     reports: list[WitnessReport] = []
     block_reports: list[list[BlockRunReport]] = []
     with _block_runs(calls) as result_of:
         for t_idx, t in enumerate(times):
             per_block: list[BlockRunReport] = []
-            assembled = np.zeros(spec.dim, dtype=complex)
-            for b_idx, (block, weight, h_block) in enumerate(parts):
+            change = np.zeros(spec.dim, dtype=complex)
+            for b_idx, (block, idx, weight, h_block) in enumerate(parts):
                 if h_block is None:
                     per_block.append(BlockRunReport(block.occupation, block.size, weight, skipped=True))
                     continue
@@ -309,7 +304,7 @@ def run_aqae_blocked(
                     raise wrapper(
                         f"AQAE failed on block {block.occupation} (size {block.size}) at time {t:g}: {exc}"
                     ) from exc
-                assembled[np.asarray(block.indices)] = weight * res.amplitudes
+                change[idx] = weight * res.amplitudes - psi[idx]
                 last = res.diagnostics[-1]
                 per_block.append(
                     BlockRunReport(
@@ -317,7 +312,6 @@ def run_aqae_blocked(
                         final_energy=last["clock_energy"], overlap=last.get("overlap"),
                     )
                 )
-            flavor = initial.with_amplitudes(apply_mode_unitary(assembled, u, spec.nf, spec.n_modes))
-            reports.append(compute_witnesses(flavor, time=t))
+            reports.append(compute_witnesses(rebuild(change), time=t))
             block_reports.append(per_block)
     return BlockedAqaeResult(reports, block_reports)

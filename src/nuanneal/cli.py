@@ -28,10 +28,10 @@ from .aqae import (
     BlockedAqaeResult, RegisterCollapse, clock_qubo, clock_steps, initial_estimate, run_aqae, run_aqae_blocked,
 )
 from .basis import mass_blocks
-from .clock import DigitizationParams, Direction, QuboProblem, build_clock, build_qubo, real_embed
+from .clock import DigitizationParams, Direction, QuboProblem, build_clock, build_qubo
 from .config import ConfigError, ExperimentConfig, load_config, load_state
 from .evolution import evolve_series
-from .hamiltonians import Species, Statistics, build_hamiltonian, conserves_occupations
+from .hamiltonians import build_hamiltonian, occupation_refusal
 from .witnesses import WitnessReport, compute_witnesses
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
@@ -107,7 +107,7 @@ def cmd_qubo(cfg: ExperimentConfig, out: str | None) -> int:
     steps, step_dt = clock_steps(q.time, cfg.aqae_dt)
     clock = build_clock(h, cfg.initial.amplitudes, step_dt, steps)
     params = DigitizationParams(cfg.aqae.k_bits, q.zoom, q.direction)
-    form = clock_qubo(clock, real_embed(clock), params.k_bits)
+    form = clock_qubo(clock, params.k_bits)
     problem = build_qubo(form, params, initial_estimate(clock))
     text = "".join(line + "\n" for line in _header_lines(cfg)) + problem.to_text()
     _write_text(out, text)
@@ -171,11 +171,8 @@ def cmd_aqae(cfg: ExperimentConfig, out: str | None, oracle: bool) -> int:
         raise ConfigError("initial_state: required for aqae")
     if not cfg.times:
         raise ConfigError("times: required for aqae")
-    if not conserves_occupations(spec := cfg.spec):
-        mixed = Species.ANTINEUTRINO in spec.species
-        field = "statistics" if spec.statistics is Statistics.MAJORANA else "species" if mixed else "b_vector"
-        needs = "an all-neutrino Dirac system with one-body vectors on the diagonal generators"
-        raise ConfigError(f"system.{field}: blocked AQAE needs {needs}")
+    if why := occupation_refusal(cfg.spec, "blocked AQAE"):
+        raise ConfigError(why)
     result = run_aqae_blocked(cfg.spec, cfg.initial, cfg.aqae_dt, cfg.times, cfg.aqae, oracle=oracle)
     csv_text = _witness_csv(result.reports, cfg.spec.n_modes, _header_lines(cfg))
     if out is None:

@@ -313,7 +313,7 @@ class QuboProblem:
 class QuboForm:
     """What every pass of a run shares: ``real_c`` checked once, its ``live``
     slots (all when None) cut once, and their zoom-0 couplings for ``k_bits``
-    bits per slot, the diagonal apart and the pairs doubled.  A reverse pass
+    bits per slot, the diagonal apart and the pairs mirrored.  A reverse pass
     negates every weight, which leaves each product w[a] w[b] as it is."""
 
     def __init__(self, real_c: np.ndarray, k_bits: int, live: np.ndarray | None = None):
@@ -327,7 +327,7 @@ class QuboForm:
         n, k = sub.shape[0], w.shape[0]
         # quad[i*K + a, j*K + b] = c[i, j] * (w[a] w[b]): the products np.kron forms.
         quad = (sub[:, None, :, None] * np.outer(w, w)[:, None, :]).reshape(n * k, n * k)
-        upper = np.triu(2.0 * quad, 1)
+        upper = np.triu(quad, 1)
         self.c, self.k_bits, self.live = c, k_bits, live
         self.diag, self.pairs = np.diag(quad).copy(), upper + upper.T
 
@@ -340,8 +340,8 @@ def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) ->
     values, the expansion produces the bit-bit couplings, a linear coupling
     to the prior estimate, and a constant offset, so that QUBO energy +
     offset reproduces the quadratic form bit-for-bit.  A weight at zoom z is
-    2^-z times its zoom-0 value, a signed power of two, so scaling the form's
-    couplings by 4^-z is exact while they stay normal doubles.
+    2^-z times its zoom-0 value, so the zoom-0 couplings scaled by 4^-z, pairs
+    doubled last, round as the pass's own expansion does while they are normal.
     """
     if params.k_bits != form.k_bits:
         raise ValueError(f"params have {params.k_bits} bits per slot, the form {form.k_bits}")
@@ -354,4 +354,4 @@ def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) ->
     # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
     # signed zeros into 0.0, as the mirrored sum of the pairs does.
     lin = form.diag * scale + ((2.0 * c_prior)[:, None] * digit_weights(params)).ravel() + 0.0
-    return QuboProblem.from_arrays(lin, form.pairs * scale, offset)
+    return QuboProblem.from_arrays(lin, form.pairs * scale * 2.0, offset)

@@ -8,15 +8,13 @@ concern in building the full exponential this way.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .basis import BasisTag, StateVector, apply_mode_unitary, mass_blocks, pmns_matrix
 from .hamiltonians import (
-    HamiltonianMatrix,
-    SystemSpec,
-    build_hamiltonian,
-    conserves_occupations,
-    restrict_to_block,
+    HamiltonianMatrix, SystemSpec, build_hamiltonian, conserves_occupations, occupation_refusal, restrict_to_block,
 )
 
 # A block whose mass-basis amplitudes have at most this norm is left out.
@@ -48,26 +46,33 @@ class Evolver:
         return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)
 
 
-def split_blocks(spec: SystemSpec, initial: StateVector) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Mass-basis occupation blocks of ``initial`` for exact and annealed evolution
-    (Pehlivan, Balantekin, Kajino & Yoshida, PRD 84, 065008 (2011)): (U, psi, parts).
+def split_blocks(spec: SystemSpec, initial: StateVector) -> tuple[np.ndarray, list[tuple], Callable]:
+    """Mass-basis occupation blocks of ``initial`` for both drivers (Pehlivan,
+    Balantekin, Kajino & Yoshida, PRD 84, 065008 (2011)): (psi, parts, rebuild).
 
-    U maps the mass basis to that of ``initial`` per mode (PMNS, or I for a mass
-    state), psi is ``initial`` in the mass basis, and ``parts`` holds (block, weight,
-    H) per :func:`mass_blocks` block, H cut once, or None at weight <= ``ZERO_BLOCK_NORM``.
+    psi is ``initial`` in the mass basis; ``parts`` holds (block, indices, weight, H) per
+    :func:`mass_blocks` block, H cut once, or None at weight <= ``ZERO_BLOCK_NORM``.
+    ``rebuild(change)`` writes ``initial`` plus the mass-basis ``change`` since t = 0,
+    rotated back per mode (PMNS, or I for a mass state), over ``change`` and returns that
+    state: amplitudes that do not move come back exactly.  A system that does not
+    conserve occupations raises ValueError with the text of :func:`occupation_refusal`.
     """
-    if not conserves_occupations(spec):
-        raise ValueError(
-            "the block split needs an all-neutrino Dirac system with one-body vectors on the diagonal generators"
-        )
+    if why := occupation_refusal(spec):
+        raise ValueError(why)
     u = pmns_matrix(spec.pmns, spec.nf) if initial.basis is BasisTag.FLAVOR else np.eye(spec.nf)
     psi = apply_mode_unitary(initial.amplitudes, u.conj().T, spec.nf, spec.n_modes)
     h = build_hamiltonian(spec, BasisTag.MASS)
     parts = []
     for block in mass_blocks(spec.nf, spec.n_modes):
-        weight = float(np.linalg.norm(psi[np.asarray(block.indices)]))
-        parts.append((block, weight, restrict_to_block(h, block) if weight > ZERO_BLOCK_NORM else None))
-    return u, psi, parts
+        idx = np.asarray(block.indices)
+        weight = float(np.linalg.norm(psi[idx]))
+        parts.append((block, idx, weight, restrict_to_block(h, block) if weight > ZERO_BLOCK_NORM else None))
+
+    def rebuild(change: np.ndarray) -> StateVector:
+        change[:] = initial.amplitudes + apply_mode_unitary(change, u, spec.nf, spec.n_modes)
+        return initial.with_amplitudes(change)
+
+    return psi, parts, rebuild
 
 
 def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) -> list[StateVector]:
@@ -89,15 +94,10 @@ def evolve_series(spec: SystemSpec, initial: StateVector, times: list[float]) ->
         for amp, t in zip(amps, times):
             amp[:] = evolver.evolve(initial.amplitudes, t)
         return [initial.with_amplitudes(amp) for amp in amps]
-    # Evolve in the mass basis block by block and rotate back only the change
-    # since t = 0, so that a state that does not move is returned exactly.
-    u, psi, parts = split_blocks(spec, initial)
-    for block, _, h in parts:
+    psi, parts, rebuild = split_blocks(spec, initial)
+    for _, idx, _, h in parts:
         if h is not None:
-            idx = np.asarray(block.indices)
             evolver = Evolver(h)
             for change, t in zip(amps, times):
                 change[idx] = evolver.evolve(psi[idx], t) - psi[idx]
-    for amp in amps:
-        amp[:] = initial.amplitudes + apply_mode_unitary(amp, u, spec.nf, spec.n_modes)
-    return [initial.with_amplitudes(amp) for amp in amps]
+    return [rebuild(change) for change in amps]

@@ -271,15 +271,24 @@ def build_dirac_hamiltonian(spec: SystemSpec, basis: BasisTag) -> HamiltonianMat
     return build_hamiltonian(spec, basis)
 
 
+def occupation_refusal(spec: SystemSpec, who: str = "the block split") -> str | None:
+    """None when H keeps every mass-eigenstate occupation: an all-neutrino Dirac system whose
+    one-body vectors vanish off the diagonal generators (lambda_3, lambda_8; sigma_3 for nf=2),
+    all-zero included.  Otherwise why ``who`` cannot split H into mass-basis occupation
+    blocks, naming the first field of ``spec`` at fault."""
+    faults = {
+        "statistics": spec.statistics is Statistics.MAJORANA,
+        "species": Species.ANTINEUTRINO in spec.species,
+        "b_vector": np.any(np.delete(spec.b_vector, [2] if spec.nf == 2 else [2, 7], axis=1)),
+    }
+    field = next((name for name, fault in faults.items() if fault), None)
+    needs = "an all-neutrino Dirac system with one-body vectors on the diagonal generators"
+    return field and f"system.{field}: {who} needs {needs}"
+
+
 def conserves_occupations(spec: SystemSpec) -> bool:
-    """Whether H keeps every mass-eigenstate occupation, i.e. splits into
-    occupation blocks in the mass basis: an all-neutrino Dirac system whose
-    one-body vectors vanish off the diagonal generators (lambda_3, lambda_8;
-    sigma_3 for nf=2).  An all-zero ``b_vector`` qualifies."""
-    if not _is_dirac_neutrino(spec):
-        return False
-    diagonal = [2] if spec.nf == 2 else [2, 7]
-    return not np.any(np.delete(spec.b_vector, diagonal, axis=1))
+    """Whether H splits into mass-basis occupation blocks (see :func:`occupation_refusal`)."""
+    return occupation_refusal(spec) is None
 
 
 def restrict_to_block(h: HamiltonianMatrix, block: OccupationBlock) -> HamiltonianMatrix:

@@ -131,7 +131,7 @@ def _exhaustive_failures(clock, k_bits, frozen):
     cemb = real_embed(clock)
     prior = initial_estimate(clock)
     n_slots = cemb.shape[0]
-    form = clock_qubo(clock, cemb, k_bits) if frozen else QuboForm(cemb, k_bits)
+    form = clock_qubo(clock, k_bits) if frozen else QuboForm(cemb, k_bits)
     kept = live_bits(form)
     for zoom in (0, 1, 2):
         for direction in (Direction.FORWARD, Direction.REVERSE):

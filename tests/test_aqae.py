@@ -17,7 +17,7 @@ from nuanneal.annealer import AnnealResult, anneal
 from nuanneal.aqae import AqaeConfig, _derived_seed, clock_qubo, initial_estimate, run_aqae, run_aqae_blocked
 from nuanneal.basis import BasisTag, StateVector, change_basis, mass_blocks
 from nuanneal.cli import main
-from nuanneal.clock import DigitizationParams, build_clock, build_qubo, real_embed, unembed_state
+from nuanneal.clock import DigitizationParams, build_clock, build_qubo, unembed_state
 from nuanneal.config import load_config
 from nuanneal.evolution import Evolver, evolve_series, propagator, split_blocks
 from nuanneal.hamiltonians import HamiltonianMatrix, build_dirac_hamiltonian, restrict_to_block
@@ -195,6 +195,25 @@ class TestRunAqaeBlocked:
             if not rep.skipped:
                 assert rep.overlap > 1.0 - 1e-8
 
+    def test_mass_basis_initial_state_runs_as_its_flavor_state(self):
+        # The split takes a state in either basis, and its blocks, weights
+        # and seeds do not depend on which.  The witnesses do not either: the
+        # same unitary acts on every mode.  Criterion 02's 1e-5 witness
+        # tolerance against exact evolution of the same mass-basis state.
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        mass = change_basis(cfg.initial, BasisTag.MASS, cfg.spec.pmns)
+        acfg = AqaeConfig(k_bits=1, max_zoom=22, reads=48, sweeps=96, seed=4)
+        times = [1e12, 2e12]
+        flavor_run = run_aqae_blocked(cfg.spec, cfg.initial, None, times, acfg)
+        mass_run = run_aqae_blocked(cfg.spec, mass, None, times, acfg)
+        assert mass_run.block_reports == flavor_run.block_reports
+        for report, exact, t in zip(mass_run.reports, evolve_series(cfg.spec, mass, times), times):
+            want = compute_witnesses(exact, t)
+            np.testing.assert_allclose(report.entropies, want.entropies, rtol=0, atol=1e-5)
+            assert report.negativities.keys() == want.negativities.keys()
+            for pair, value in report.negativities.items():
+                assert abs(value - want.negativities[pair]) <= 1e-5
+
     def test_consumes_expected_block_census(self):
         cfg = reference_config(2, 3, initial=("e", "mu"), times=[1e11])
         acfg = AqaeConfig(k_bits=1, max_zoom=6, reads=16, sweeps=32, seed=1)
@@ -211,8 +230,8 @@ class TestRunAqaeBlocked:
             return restrict_to_block(h, block)
 
         cfg = reference_config(2, 3, initial=("e", "mu"))
-        _, _, parts = split_blocks(cfg.spec, cfg.initial)
-        live = [block.occupation for block, _, h in parts if h is not None]
+        _, parts, _ = split_blocks(cfg.spec, cfg.initial)
+        live = [block.occupation for block, _, _, h in parts if h is not None]
         monkeypatch.setattr(evolution_mod, "restrict_to_block", counting_restrict)
         times = [1e11, 2e11, 3e11]
         acfg = AqaeConfig(k_bits=1, max_zoom=4, reads=8, sweeps=16, seed=1)
@@ -416,8 +435,8 @@ class TestOneStepStructure:
         # The 15 live reference blocks at t = 3.3e12: exactly 0 at one step,
         # up to about 3.9 at two.
         cfg = load_config(AQAE_CONFIG)
-        _, psi, parts = split_blocks(cfg.spec, cfg.initial)
-        live = [(h, psi[np.asarray(block.indices)] / weight) for block, weight, h in parts if h is not None]
+        psi, parts, _ = split_blocks(cfg.spec, cfg.initial)
+        live = [(h, psi[idx] / weight) for _, idx, weight, h in parts if h is not None]
         assert len(live) == 15
         for k_bits in (1, 2, 3):
             largest = {}
@@ -425,7 +444,7 @@ class TestOneStepStructure:
                 largest[steps] = 0.0
                 for h, sub in live:
                     clock = build_clock(h, sub, 3.3e12 / steps, steps)
-                    form = clock_qubo(clock, real_embed(clock), k_bits)
+                    form = clock_qubo(clock, k_bits)
                     q = build_qubo(form, DigitizationParams(k_bits), initial_estimate(clock))
                     largest[steps] = max(largest[steps], float(np.max(np.abs(cross_slot_couplers(q, k_bits)))))
             assert largest[1] == 0.0 and largest[2] > 1.0, (k_bits, largest)

@@ -87,7 +87,7 @@ def test_clock_qubo_with_and_without_frozen_register(data, register_dim, params,
     cemb = real_embed(clock)
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
     estimate = initial_estimate(clock) + shift
-    form = clock_qubo(clock, cemb, params.k_bits) if freeze else QuboForm(cemb, params.k_bits)
+    form = clock_qubo(clock, params.k_bits) if freeze else QuboForm(cemb, params.k_bits)
     q = build_qubo(form, params, estimate)
     frozen_bits = 2 * register_dim * params.k_bits if freeze else 0
     assert q.size == cemb.shape[0] * params.k_bits - frozen_bits
@@ -109,7 +109,7 @@ def test_every_pass_has_the_bytes_of_the_reference_expansion(data, register_dim,
     h = HamiltonianMatrix(m + m.conj().T, BasisTag.FLAVOR)
     clock = build_clock(h, psi / np.linalg.norm(psi), dt=data.draw(st.floats(0.1, 2.0)), steps=steps)
     cemb = real_embed(clock)
-    form = clock_qubo(clock, cemb, k_bits)
+    form = clock_qubo(clock, k_bits)
     # Every slot but the initial register's real and imaginary parts.
     live = np.r_[register_dim : clock.dim, clock.dim + register_dim : 2 * clock.dim]
     shift = data.draw(arrays(float, cemb.shape[0], elements=st.floats(-1.0, 1.0)))
