@@ -43,6 +43,20 @@ Uniforms are drawn a few sweeps at a time, as ``(chunk, m, reads)`` blocks
 into a buffer bounded by ``_THRESHOLD_BYTES``; the flat sequence does not
 depend on the chunk size.  The buffer size does not change any result,
 and identical (problem, schedule) inputs give bit-identical results.
+
+Threads: once the visit orders and initial bits are drawn, a helper thread
+may draw the uniforms, chunk by chunk in order, one chunk ahead into the
+second of two buffers, while the calling thread takes the log of the chunk
+before in place, divides it (numpy loop) and steps it.  The draw, the log
+and the C loop release the interpreter lock, so the two overlap.  The
+helper runs only where it has something to overlap and a CPU to run on: the
+C loop, more than one chunk, more than one usable CPU, and not in a process
+that multiprocessing started, such as a blocked-AQAE worker, whose pool
+already holds one process per usable CPU.  Elsewhere the calling thread
+draws each chunk itself.  The helper is started and joined inside the call,
+so no thread outlives it, and an exception in either thread reaches the
+caller.  The draws are the same calls in the same order either way, so no
+output changes.
 """
 
 from __future__ import annotations
@@ -163,24 +177,33 @@ def anneal(q: QuboProblem, s: AnnealSchedule) -> AnnealResult:
     fields = quad @ bits
 
     chunk = max(1, min(sweeps, _THRESHOLD_BYTES // (8 * m * reads)))
-    log_u = np.empty((chunk, m, reads))
+    spans = [(s0, min(s0 + chunk, sweeps)) for s0 in range(0, sweeps, chunk)]
     kernel = _native_kernel()
-    native = None if kernel is None else _native_steps(kernel, log_u, visits, neg_betas, lin, quad, spins, fields)
-    for s0 in range(0, sweeps, chunk):
-        s1 = min(s0 + chunk, sweeps)
-        # Thresholds -ln(u)/beta (the C loop divides itself); u = 0, or a beta
-        # so small that the quotient overflows, gives +inf, always accepted.
-        limits = log_u[: s1 - s0]
-        rng.random(out=limits)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.log(limits, out=limits)
-            if native is None:
-                limits /= neg_betas[s0:s1, None, None]
-        # One step-loop call per chunk: compiled if it was built, else numpy.
-        if native is None:
-            _numpy_steps(limits, visits[s0:s1], lin, quad, spins, fields)
-        else:
-            native(s0, s1)
+    ahead = _draws_ahead(kernel, len(spans))
+    # Chunk k's uniforms go to buffer k % 2 while a helper draws ahead, else
+    # all to one buffer.
+    log_u = np.empty((2 if ahead else 1, chunk, m, reads))
+    natives = [] if kernel is None else [
+        _native_steps(kernel, buffer, visits, neg_betas, lin, quad, spins, fields) for buffer in log_u
+    ]
+    views = [log_u[k % len(log_u), : s1 - s0] for k, (s0, s1) in enumerate(spans)]
+    chunks = _uniform_chunks(rng, views, ahead)
+    try:
+        for k, ((s0, s1), limits) in enumerate(zip(spans, chunks)):
+            # Thresholds -ln(u)/beta (the C loop divides itself); u = 0, or a
+            # beta so small that the quotient overflows, gives +inf, always
+            # accepted.
+            with np.errstate(divide="ignore", over="ignore"):
+                np.log(limits, out=limits)
+                if kernel is None:
+                    limits /= neg_betas[s0:s1, None, None]
+            # One step-loop call per chunk: compiled if it was built, else numpy.
+            if kernel is None:
+                _numpy_steps(limits, visits[s0:s1], lin, quad, spins, fields)
+            else:
+                natives[k % len(natives)](s0, s1)
+    finally:
+        chunks.close()  # joins the helper, after the last chunk or a failed step
 
     bits = 0.5 * (1.0 - spins)
     energies = q.lin @ bits + 0.5 * np.einsum("ir,ir->r", q.quad @ bits, bits) + q.offset
@@ -202,6 +225,72 @@ def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
     ramp[0], ramp[-1] = start, stop
     np.power(10.0, y, out=ramp[1:-1])
     return ramp
+
+
+def _draws_ahead(kernel, chunks: int) -> bool:
+    """Whether a helper thread draws the uniforms of an anneal ahead of its
+    step loop: only where there is something to overlap, the compiled loop
+    (which releases the interpreter lock) over more than one chunk, and a
+    spare CPU to overlap it on.  A process that multiprocessing started,
+    such as a blocked-AQAE worker, draws inline, since its pool already
+    holds one process per usable CPU."""
+    import os
+    import sys
+
+    if kernel is None or chunks < 2:
+        return False
+    # Looked up, not imported: a process that never imported multiprocessing
+    # is none of its children.
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return False
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) > 1
+
+
+def _uniform_chunks(rng, views, ahead: bool):
+    """Generate ``views`` in order, each filled with the generator's next
+    uniforms.
+
+    Inline, each view is drawn as it is reached.  With ``ahead``, a helper
+    thread draws view k + 1 while the caller works on view k, so those two
+    must not share memory; an exception of a draw is raised here as it is.
+    The helper is joined when the generator ends, raises or is closed.
+    """
+    if not ahead:
+        for view in views:
+            yield rng.random(out=view)
+        return
+    import threading
+    from queue import SimpleQueue
+
+    todo, done = SimpleQueue(), SimpleQueue()
+
+    def draw():
+        try:
+            while (view := todo.get()) is not None:
+                rng.random(out=view)
+                done.put(None)
+        except BaseException as exc:  # raised again in the caller's thread
+            done.put(exc)
+
+    helper = threading.Thread(target=draw, name="nuanneal-uniforms")
+    helper.start()
+    try:
+        # None after the last view ends the helper.
+        pending = iter(views)
+        todo.put(next(pending, None))
+        for view in views:
+            # The caller is done with the view before this one, whose buffer
+            # takes the view after it.
+            todo.put(next(pending, None))
+            error = done.get()
+            if error is not None:
+                raise error
+            yield view
+    finally:
+        todo.put(None)
+        helper.join()
 
 
 def _numpy_steps(thresholds, visits, lin, quad, spins, fields) -> None:

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 import nuanneal.annealer as annealer_mod
 from nuanneal.annealer import AnnealSchedule, anneal, default_beta_range, exhaustive_minimum
 from nuanneal.clock import QuboProblem
+
+
+AQAE_CONFIG = Path(__file__).parent.parent / "configs" / "four_mode_aqae.yaml"
 
 
 def random_qubo(rng, n, scale=1.0):
@@ -38,6 +42,14 @@ def step_loop(request, monkeypatch):
     else:
         monkeypatch.setattr(annealer_mod, "_step_kernel", None)
     return request.param
+
+
+def criterion_10_problem():
+    """Criterion 10's second trial: n=16, 2000 sweeps, 200 reads (100 chunks)."""
+    rng = np.random.default_rng(10)
+    for _ in range(2):
+        q = random_qubo(rng, 16)
+    return q, AnnealSchedule(sweeps=2000, reads=200, seed=1)
 
 
 class TestSchedule:
@@ -133,12 +145,8 @@ class TestAnneal:
 
     @pytest.mark.usefixtures("step_loop")
     def test_buffer_size_does_not_change_results_at_criterion_10_size(self, monkeypatch):
-        # Criterion 10's second trial: n=16, 2000 sweeps, 200 reads.  Read
-        # chunking once moved some per-read energies by an ulp here.
-        rng = np.random.default_rng(10)
-        for _ in range(2):
-            q = random_qubo(rng, 16)
-        s = AnnealSchedule(sweeps=2000, reads=200, seed=1)
+        # Read chunking once moved some per-read energies by an ulp here.
+        q, s = criterion_10_problem()
         full = anneal(q, s)
         monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)  # one sweep per chunk
         chunked = anneal(q, s)
@@ -549,13 +557,16 @@ class TestStepLoops:
         assert annealer_mod._native_kernel() is kernel  # built once per process
 
     def test_import_builds_no_kernel(self):
-        # A build at import would add the compiler run to every process
-        # start, annealing or not.
+        # A build at import, or in resolving a config, would add the compiler
+        # run to every process start, annealing or not; so would a thread
+        # left running.
         probe = (
-            "import os, nuanneal, nuanneal.annealer as a\n"
+            "import os, threading, nuanneal, nuanneal.annealer as a\n"
+            "from nuanneal.config import load_config\n"
+            f"load_config({str(AQAE_CONFIG)!r})\n"
             "maps = '/proc/self/maps'\n"
             "loaded = os.path.exists(maps) and '_anneal_step' in open(maps).read()\n"
-            "print(a._step_kernel is a._UNBUILT, loaded)\n"
+            "print(a._step_kernel is a._UNBUILT, loaded, threading.active_count())\n"
         )
         src = str(Path(annealer_mod.__file__).parents[1])
         out = subprocess.run(
@@ -565,7 +576,106 @@ class TestStepLoops:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["True", "False", "1"]
+
+
+class Failure(Exception):
+    pass
+
+
+class TestDrawAhead:
+    """The helper thread that draws the next chunk of uniforms."""
+
+    @pytest.mark.usefixtures("step_loop")
+    @pytest.mark.parametrize("one_sweep_chunks", [False, True])
+    def test_helper_changes_no_result(self, monkeypatch, one_sweep_chunks):
+        # One-sweep chunks hand the two buffers back and forth 2000 times,
+        # with the interpreter switching threads as often as it can; a draw
+        # into the buffer being stepped would change the energies.
+        if one_sweep_chunks:
+            monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)
+        q, s = criterion_10_problem()
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for ahead in (True, False):
+                monkeypatch.setattr(annealer_mod, "_draws_ahead", lambda kernel, chunks: ahead)
+                results.append(anneal(q, s))
+        finally:
+            sys.setswitchinterval(interval)
+        on, off = results
+        assert np.array_equal(on.best_bits, off.best_bits)
+        assert on.best_energy == off.best_energy
+        assert on.all_read_energies.tobytes() == off.all_read_energies.tobytes()
+
+    def test_a_failing_draw_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(annealer_mod, "_draws_ahead", lambda kernel, chunks: True)
+        error, drawn_in = Failure("draw failed"), []
+        real_rng = np.random.default_rng
+
+        class FailingDraws:
+            """A generator whose third ``random`` call raises."""
+
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self, out):
+                drawn_in.append(threading.current_thread())
+                if len(drawn_in) == 3:
+                    raise error
+                return self._rng.random(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingDraws)
+        before = threading.active_count()
+        with pytest.raises(Failure) as info:
+            anneal(*criterion_10_problem())
+        assert info.value is error
+        assert threading.main_thread() not in drawn_in
+        assert threading.active_count() == before
+
+    @pytest.mark.usefixtures("step_loop")
+    def test_a_failing_step_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(annealer_mod, "_draws_ahead", lambda kernel, chunks: True)
+        error, calls = Failure("step failed"), []
+
+        def failing(steps):
+            def run(*args):
+                calls.append(args)
+                if len(calls) == 3:
+                    raise error
+                steps(*args)
+
+            return run
+
+        real_native, real_numpy = annealer_mod._native_steps, annealer_mod._numpy_steps
+        monkeypatch.setattr(annealer_mod, "_native_steps", lambda *args: failing(real_native(*args)))
+        monkeypatch.setattr(annealer_mod, "_numpy_steps", failing(real_numpy))
+        before = threading.active_count()
+        with pytest.raises(Failure) as info:
+            anneal(*criterion_10_problem())
+        assert info.value is error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helper_needs_a_second_cpu(self, monkeypatch, cpus):
+        native_kernel()
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real_start(thread))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        anneal(*criterion_10_problem())
+        assert len(started) == cpus - 1
+
+    def test_helper_follows_the_usable_cpus(self):
+        # Run as is, this follows the host: under taskset -c 0 the helper
+        # must not run.
+        kernel = native_kernel()
+        assert annealer_mod._draws_ahead(kernel, 2) == (len(os.sched_getaffinity(0)) > 1)
+        assert not annealer_mod._draws_ahead(kernel, 1)
+        assert not annealer_mod._draws_ahead(None, 2)
 
 
 class TestExhaustive:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from helpers import cross_slot_couplers, reference_config, slot_minimum
 
+import nuanneal.annealer as annealer_mod
 import nuanneal.aqae as aqae_mod
 import nuanneal.evolution as evolution_mod
 from nuanneal.annealer import AnnealResult, anneal
@@ -496,6 +497,29 @@ class TestBlockRunsInWorkers:
         acfg = AqaeConfig(k_bits=1, max_zoom=3, reads=8, sweeps=16, seed=1)
         run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11, 2e11], acfg)
         assert multiprocessing.active_children() == []
+
+    def test_workers_draw_inline(self, monkeypatch, cpus, tmp_path):
+        # Every anneal has 16 one-sweep chunks, so only being in a worker
+        # keeps its uniforms off a helper thread.
+        if annealer_mod._native_kernel() is None:
+            pytest.skip("no C step loop: no anneal draws ahead")
+        cpus(2)
+        monkeypatch.setattr(annealer_mod, "_THRESHOLD_BYTES", 1)
+        record, real_chunks = tmp_path / "draws.txt", annealer_mod._uniform_chunks
+
+        def recorded_chunks(rng, views, ahead):
+            with record.open("a") as f:
+                f.write(f"{os.getpid()} {len(views)} {ahead}\n")
+            return real_chunks(rng, views, ahead)
+
+        monkeypatch.setattr(annealer_mod, "_uniform_chunks", recorded_chunks)
+        cfg = reference_config(2, 3, initial=("e", "mu"))
+        acfg = AqaeConfig(k_bits=1, max_zoom=2, reads=8, sweeps=16, seed=1)
+        run_aqae_blocked(cfg.spec, cfg.initial, None, [1e11, 2e11], acfg)
+        calls = [line.split() for line in record.read_text().splitlines()]
+        assert calls and all(pid != str(os.getpid()) for pid, _, _ in calls)
+        assert {chunks for _, chunks, _ in calls} == {"16"}
+        assert {ahead for _, _, ahead in calls} == {"False"}
 
     def test_a_failing_worker_names_its_block(self, monkeypatch, cpus):
         # As test_one_failing_block_is_named, with the block run in a worker.
