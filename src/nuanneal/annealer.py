@@ -50,7 +50,7 @@ second of two buffers, while the calling thread takes the log of the chunk
 before in place, divides it (numpy loop) and steps it.  The draw, the log
 and the C loop release the interpreter lock, so the two overlap.  The
 helper runs only where it has something to overlap and a CPU to run on: the
-C loop, more than one chunk, more than one usable CPU, and not in a process
+C loop, at least 4 chunks, more than one usable CPU, and not in a process
 that multiprocessing started, such as a blocked-AQAE worker, whose pool
 already holds one process per usable CPU.  Elsewhere the calling thread
 draws each chunk itself.  The helper is started and joined inside the call,
@@ -229,15 +229,18 @@ def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
 
 def _draws_ahead(kernel, chunks: int) -> bool:
     """Whether a helper thread draws the uniforms of an anneal ahead of its
-    step loop: only where there is something to overlap, the compiled loop
-    (which releases the interpreter lock) over more than one chunk, and a
+    step loop: only where there is enough to overlap, the compiled loop
+    (which releases the interpreter lock) over at least 4 chunks, and a
     spare CPU to overlap it on.  A process that multiprocessing started,
     such as a blocked-AQAE worker, draws inline, since its pool already
     holds one process per usable CPU."""
     import os
     import sys
 
-    if kernel is None or chunks < 2:
+    # On 16- and 18-variable anneals the helper's start, hand-offs and join
+    # cost as much as the overlap saved at 3 chunks and more below; from 4
+    # chunks on it was faster.
+    if kernel is None or chunks < 4:
         return False
     # Looked up, not imported: a process that never imported multiprocessing
     # is none of its children.
@@ -277,19 +280,18 @@ def _uniform_chunks(rng, views, ahead: bool):
     helper = threading.Thread(target=draw, name="nuanneal-uniforms")
     helper.start()
     try:
-        # None after the last view ends the helper.
-        pending = iter(views)
-        todo.put(next(pending, None))
-        for view in views:
+        todo.put(views[0])
+        for k, view in enumerate(views, 1):
             # The caller is done with the view before this one, whose buffer
             # takes the view after it.
-            todo.put(next(pending, None))
+            if k < len(views):
+                todo.put(views[k])
             error = done.get()
             if error is not None:
                 raise error
             yield view
     finally:
-        todo.put(None)
+        todo.put(None)  # ends the helper
         helper.join()
 
 

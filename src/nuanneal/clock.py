@@ -21,10 +21,10 @@ vector ``lin``, a symmetric zero-diagonal coupling matrix ``quad`` and an
 ``offset``; fixing variables slices rows and columns.  Coefficient maps
 (i, j) -> value exist only at the text and user boundary: the constructor,
 ``to_text`` and ``from_text``.  A run builds one :class:`QuboForm` (the
-checked real matrix, its live slots, their coefficients per bit pair and
-the zoom-0 weight products) and each pass turns it into a problem with
-:func:`build_qubo`, which scales the weight products by 4^-z, multiplies
-them into the coefficients and adds the terms of that pass's prior.
+checked real matrix, its live slots and their coefficients per bit pair)
+and each pass turns it into a problem with :func:`build_qubo`, which
+multiplies the coefficients by that pass's weight products and adds the
+terms of its prior.
 
 With the initial register frozen and one clock step, the live clock is I / 2, so no coupler joins two slots.
 """
@@ -315,9 +315,7 @@ class QuboForm:
     """What every pass of a run shares: ``real_c`` checked once, its ``live``
     slots (all when None) cut once, and for ``k_bits`` bits per slot the
     coefficient c[i, j] of each bit pair, the diagonal apart and the pairs
-    mirrored, beside the zoom-0 weight products w[a] w[b].  The products are
-    signed powers of two, and a reverse pass negates every weight, which
-    leaves each of them as it is."""
+    mirrored."""
 
     def __init__(self, real_c: np.ndarray, k_bits: int, live: np.ndarray | None = None):
         c = np.asarray(real_c, dtype=float)
@@ -325,14 +323,12 @@ class QuboForm:
             raise ValueError(f"real_c must be square, got shape {c.shape}")
         check_hermitian(c, "real_c")
         live = np.arange(c.shape[0]) if live is None else np.asarray(live)
-        # Bit i*K + a belongs to live slot i and has zoom-0 weight w[a].
+        # Bit i*K + a belongs to live slot i.
         slots = np.repeat(live, k_bits)
-        w = np.tile(digit_weights(DigitizationParams(k_bits)), live.size)
         expanded = c[np.ix_(slots, slots)]
         upper = np.triu(expanded, 1)
         self.c, self.k_bits, self.live = c, k_bits, live
         self.c_diag, self.c_pairs = np.diag(expanded).copy(), upper + upper.T
-        self.weights = np.outer(w, w)
 
 
 def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) -> QuboProblem:
@@ -342,11 +338,10 @@ def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) ->
     through :func:`digit_weights` and leaves the other slots at their prior
     values, the expansion produces the bit-bit couplings, a linear coupling
     to the prior estimate, and a constant offset, so that QUBO energy +
-    offset reproduces the quadratic form bit-for-bit.  A weight at zoom z is
-    2^-z times its zoom-0 value, so the zoom-0 weight products scaled by 4^-z
-    are exact, and each coupling c[i, j] (w[a] w[b]) is rounded once, then
-    doubled for the pairs, as the pass's own expansion does, subnormal
-    couplings included.
+    offset reproduces the quadratic form bit-for-bit.  Each coupling
+    c[i, j] (w[a] w[b]) is rounded once, then doubled for the pairs, as the
+    pass's own expansion does, subnormal couplings included: the weights are
+    signed powers of two, so each product w[a] w[b] is exact.
     """
     if params.k_bits != form.k_bits:
         raise ValueError(f"params have {params.k_bits} bits per slot, the form {form.k_bits}")
@@ -355,11 +350,12 @@ def build_qubo(form: QuboForm, params: DigitizationParams, prior: np.ndarray) ->
     if prior.shape != (c.shape[0],):
         raise ValueError(f"prior has shape {prior.shape}, expected ({c.shape[0]},)")
     c_prior, offset = (c @ prior)[form.live], float(prior @ c @ prior)
-    weights = form.weights * 4.0**-params.zoom
+    w = digit_weights(params)
+    bit_w = np.tile(w, form.live.size)
+    pairs = form.c_pairs * np.outer(bit_w, bit_w)
+    pairs *= 2.0
     # x_i^2 = x_i folds the diagonal into the linear terms; adding 0.0 turns
     # signed zeros into 0.0, as the mirrored sum of the pairs does.
-    lin = form.c_diag * np.diag(weights) + ((2.0 * c_prior)[:, None] * digit_weights(params)).ravel() + 0.0
-    pairs = form.c_pairs * weights
-    pairs *= 2.0
     pairs += 0.0
+    lin = form.c_diag * bit_w**2 + ((2.0 * c_prior)[:, None] * w).ravel() + 0.0
     return QuboProblem.from_arrays(lin, pairs, offset)

@@ -673,9 +673,9 @@ class TestDrawAhead:
         # Run as is, this follows the host: under taskset -c 0 the helper
         # must not run.
         kernel = native_kernel()
-        assert annealer_mod._draws_ahead(kernel, 2) == (len(os.sched_getaffinity(0)) > 1)
-        assert not annealer_mod._draws_ahead(kernel, 1)
-        assert not annealer_mod._draws_ahead(None, 2)
+        assert annealer_mod._draws_ahead(kernel, 4) == (len(os.sched_getaffinity(0)) > 1)
+        assert not annealer_mod._draws_ahead(kernel, 3)
+        assert not annealer_mod._draws_ahead(None, 4)
 
 
 class TestExhaustive:

@@ -109,8 +109,9 @@ def clock_runs(draw):
 
 
 @given(run=clock_runs(), k_bits=st.integers(1, 3))
-# H = 3.7e-307 makes zoom-0 couplings subnormal at K = 3: rounding them at
-# zoom 0 and again at each pass's 4^-z differs from the pass's own expansion.
+# H = 3.7e-307 makes zoom-0 couplings subnormal at K = 3, so a coupling
+# rounded at zoom 0 and scaled by a later pass's 4^-z differs from that
+# pass's own expansion.
 @example(run=(np.array([[1.85e-307 + 0j]]), np.array([1.0 + 0j]), 0.7, 2, np.zeros(6)), k_bits=3)
 def test_every_pass_has_the_bytes_of_the_reference_expansion(run, k_bits):
     # Zoom 0 to 21 in both directions, as the blocked reference run makes
