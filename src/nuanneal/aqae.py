@@ -23,7 +23,7 @@ import numpy as np
 
 from .annealer import AnnealSchedule, _native_kernel, anneal
 # change_basis, mass_blocks, build_dirac_hamiltonian and restrict_to_block stay importable
-# here for perfbench/tracing.targets, until the benchmark change of ROADMAP item 1.
+# here for perfbench/tracing.targets, until the benchmark's tracer is re-pointed.
 from .basis import StateVector, change_basis, mass_blocks
 from .clock import (
     ClockMatrix,
@@ -72,8 +72,8 @@ class AqaeResult:
     estimate: np.ndarray
     converged: bool
     diagnostics: list[dict]
-    # Not a field: perfbench/tracing._aqae_stats still reads it, until the
-    # benchmark change of ROADMAP item 1 drops that read.
+    # Not a field: perfbench/tracing._aqae_stats still reads it, until a
+    # benchmark change re-points the tracer and drops that read.
     rewinds = 0
 
 
@@ -267,8 +267,8 @@ def run_aqae_blocked(
     does not conserve occupations raises ValueError before any block is
     annealed.  :func:`run_aqae` divides each block's final register by its
     norm, so the rebuilt state's 1e-12 norm check (ValueError) sees only
-    rounding, not annealing drift; a bound on that drift from each run's
-    clock energy is ROADMAP item 2.
+    rounding, not annealing drift; no run yet bounds that drift by its clock
+    energy.
     """
     if any(t < 0 for t in times):
         raise ValueError("sample times must be non-negative")
